@@ -12,34 +12,34 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
-import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .congruence import (
     ALL_TARGETS,
-    KIND_BY_TARGET,
+    INT,
+    TARGETS,
     CongruenceReport,
     VerificationTask,
     run_task,
+    theta,
+    vartheta,
 )
-from .congruence import theta, vartheta
 from .cyclotomic import cyclotomic, cyclotomic_power
 from .polyring import from_text, to_text
 from .qcombinatorics import q_binomial_base
 from .trinomials import (
     InvalidParameters,
+    NotPrime,
     TrinomialKind,
     classical_trinomial,
-    is_prime,
     q_trinomial,
     truncated_q_trinomial,
 )
-
-# targets whose modulus is an integer p^k rather than a cyclotomic power
-_INT_MOD_TARGETS = {"cor-plain", "cor-star", "babbage", "wolstenholme", "ljunggren"}
 
 _TEXT_RESIDUAL_DEGREE_CAP = 40
 
@@ -84,100 +84,48 @@ def parse_int_list(spec: str, flag: str) -> list[int]:
     return values
 
 
-def _require(cfg_value: list[int] | None, target: str, flag: str) -> list[int]:
-    if not cfg_value:
-        raise UsageError(f"target {target} requires {flag}")
-    return cfg_value
+# the RunConfig field that holds each grid parameter's values
+_GRID_FIELDS = {"a": "a_range", "b": "b_range", "n": "n_range", "p": "p_list", "k": "k_range"}
 
 
-def _odd_prime_reason(p: int, minimum: int) -> str | None:
-    if not is_prime(p):
-        return f"p={p} is not prime"
-    if p == 2:
-        return "p must be odd"
-    if p < minimum:
-        return f"p must be >= {minimum}"
-    return None
+def _grid(cfg: RunConfig, target: str, name: str) -> list[int]:
+    values = getattr(cfg, _GRID_FIELDS[name])
+    if not values:
+        raise UsageError(f"target {target} requires --{name}")
+    return values
 
 
 def expand_tasks(cfg: RunConfig) -> tuple[list[VerificationTask], list[str]]:
     """Expand the parameter grid per target, skipping invalid combinations.
 
-    Returns the deduplicated, deterministically sorted task list plus one
-    warning line per skipped combination.
+    Each target's grid is the product of its parameters' values, and a point
+    is skipped when the target's hypothesis check rejects it.  Returns the
+    deduplicated, deterministically sorted task list plus one warning line
+    per skipped combination.
     """
     tasks: dict = {}
     warnings: list[str] = []
-
-    def add(target: str, reason: str | None = None, **params: int) -> None:
-        if reason is not None:
-            pretty = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
-            warnings.append(f"skipping {target} {pretty}: {reason}")
-            return
-        task = VerificationTask(target, params)
-        tasks[task.sort_key()] = task
-
     for target in cfg.targets:
-        if target in KIND_BY_TARGET:
-            for a in _require(cfg.a_range, target, "--a"):
-                for b in _require(cfg.b_range, target, "--b"):
-                    for n in _require(cfg.n_range, target, "--n"):
-                        reason = None
-                        if not (a > b >= 1):
-                            reason = "requires a > b >= 1"
-                        elif n < 1:
-                            reason = "requires n >= 1"
-                        add(target, reason, a=a, b=b, n=n)
-        elif target in ("cor-plain", "cor-star"):
-            for a in _require(cfg.a_range, target, "--a"):
-                for b in _require(cfg.b_range, target, "--b"):
-                    for p in _require(cfg.p_list, target, "--p"):
-                        reason = None
-                        if not (a > b >= 1):
-                            reason = "requires a > b >= 1"
-                        else:
-                            reason = _odd_prime_reason(p, 3)
-                        add(target, reason, a=a, b=b, p=p)
-        elif target == "lemma-2.1":
-            for n in _require(cfg.n_range, target, "--n"):
-                ks = cfg.k_range if cfg.k_range else range(1, max(n, 1))
-                for k in ks:
-                    reason = None if 1 <= k <= n - 1 else "requires 1 <= k <= n-1"
-                    add(target, reason, n=n, k=k)
-        elif target in ("lemma-theta", "lemma-vartheta"):
-            for n in _require(cfg.n_range, target, "--n"):
-                add(target, None if n >= 0 else "requires n >= 0", n=n)
-        elif target in ("lemma-theta-inv", "lemma-upsilon-inv"):
-            for n in _require(cfg.n_range, target, "--n"):
-                add(target, None if n >= 1 else "requires n >= 1", n=n)
-        elif target in ("babbage", "andrews-q"):
-            for p in _require(cfg.p_list, target, "--p"):
-                add(target, _odd_prime_reason(p, 3), p=p)
-        elif target == "wolstenholme":
-            for p in _require(cfg.p_list, target, "--p"):
-                add(target, _odd_prime_reason(p, 5), p=p)
-        elif target == "ljunggren":
-            for a in _require(cfg.a_range, target, "--a"):
-                for b in _require(cfg.b_range, target, "--b"):
-                    for p in _require(cfg.p_list, target, "--p"):
-                        reason = _odd_prime_reason(p, 5)
-                        if reason is None and (a < 0 or b < 0):
-                            reason = "requires a, b >= 0"
-                        add(target, reason, a=a, b=b, p=p)
-        elif target == "straub-q":
-            for a in _require(cfg.a_range, target, "--a"):
-                for b in _require(cfg.b_range, target, "--b"):
-                    for n in _require(cfg.n_range, target, "--n"):
-                        reason = None
-                        if not (a >= b >= 0):
-                            reason = "requires a >= b >= 0"
-                        elif n < 1 or math.gcd(n, 6) != 1:
-                            reason = "requires n >= 1 with gcd(n, 6) = 1"
-                        add(target, reason, a=a, b=b, n=n)
-        else:
+        spec = TARGETS.get(target)
+        if spec is None:
             raise UsageError(
                 f"unknown target {target!r}; choose from: {', '.join(ALL_TARGETS)}"
             )
+        if "k" in spec.params and not cfg.k_range:
+            # the one default grid: k (lemma-2.1) runs over every valid 1..n-1
+            points = ((n, k) for n in _grid(cfg, target, "n") for k in range(1, n))
+        else:
+            points = itertools.product(*(_grid(cfg, target, name) for name in spec.params))
+        for point in points:
+            params = dict(zip(spec.params, point))
+            try:
+                spec.check(**params)
+            except (InvalidParameters, NotPrime) as exc:
+                pretty = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
+                warnings.append(f"skipping {target} {pretty}: {exc}")
+                continue
+            task = VerificationTask(target, params)
+            tasks[task.sort_key()] = task
     ordered = [tasks[key] for key in sorted(tasks)]
     return ordered, warnings
 
@@ -218,7 +166,8 @@ def _modulus_text(report: CongruenceReport) -> str:
     if report.modulus is None:
         return "exact"
     n, k = report.modulus
-    if report.target in _INT_MOD_TARGETS:
+    spec = TARGETS.get(report.target)
+    if spec is not None and spec.modulus == INT:
         return f"{n}^{k}"
     return f"Phi({n})^{k}"
 
@@ -290,11 +239,13 @@ def run_verify(cfg: RunConfig, stream: IO[str] | None = None, err: IO[str] | Non
             close_stream = True
         else:
             stream = sys.stdout
+    # more workers than tasks or CPUs only adds start-up cost
+    jobs = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
     try:
-        if cfg.jobs > 1 and len(tasks) > 1:
+        if jobs > 1:
             import multiprocessing
 
-            with multiprocessing.Pool(processes=cfg.jobs) as pool:
+            with multiprocessing.Pool(processes=jobs) as pool:
                 # imap preserves submission order, which is already the
                 # deterministic sorted order
                 return _emit_stream(
@@ -318,12 +269,12 @@ def run_compute(args: argparse.Namespace) -> int:
 
     obj = args.object
     if obj == "qbinom":
-        result = q_binomial_base(need("n"), need("m"), args.base or 1)
+        result = q_binomial_base(need("n"), need("m"), 1 if args.base is None else args.base)
     elif obj == "cyclotomic":
         n = need("n")
         if n < 1:
             raise UsageError("cyclotomic needs n >= 1")
-        result = cyclotomic_power(n, args.k).poly if args.k else cyclotomic(n)
+        result = cyclotomic(n) if args.k is None else cyclotomic_power(n, args.k).poly
     elif obj == "trinomial":
         print(classical_trinomial(need("n"), need("m")))
         return 0

@@ -7,7 +7,7 @@ ring; M is recorded in every report.  The lemma verifiers clear the
 denominators 1 - q^(n-k) (k up to floor(n/2)) the same way: each factor's
 roots are roots of unity of order < n, so the factor is coprime to Phi_n.
 
-Verification targets (the VerificationTask enumeration):
+Verification targets, each described once in TARGETS:
 
     theorem-a .. theorem-f   truncated q-trinomial congruences mod Phi_n(q)^2
     cor-plain, cor-star      truncated classical sums mod p^2
@@ -23,7 +23,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .cyclotomic import Modulus, cyclotomic, cyclotomic_power
 from .polyring import (
@@ -39,34 +39,17 @@ from .polyring import (
 from .qcombinatorics import binomial, q_binomial, q_binomial_base
 from .trinomials import (
     InvalidParameters,
-    NotPrime,
     TrinomialKind,
-    is_prime,
+    require_odd_prime,
     truncated_classical,
     truncated_q_trinomial,
 )
 
 log = logging.getLogger(__name__)
 
-TARGET_BY_KIND = {
-    TrinomialKind.round: "theorem-a",
-    TrinomialKind.tau0: "theorem-b",
-    TrinomialKind.T0: "theorem-c",
-    TrinomialKind.T1: "theorem-d",
-    TrinomialKind.t0: "theorem-e",
-    TrinomialKind.t1: "theorem-f",
-}
-KIND_BY_TARGET = {v: k for k, v in TARGET_BY_KIND.items()}
 
-LEMMA_TARGETS = (
-    "lemma-2.1",
-    "lemma-theta",
-    "lemma-vartheta",
-    "lemma-theta-inv",
-    "lemma-upsilon-inv",
-)
-INTRO_TARGETS = ("babbage", "wolstenholme", "ljunggren", "andrews-q", "straub-q")
-ALL_TARGETS = tuple(TARGET_BY_KIND.values()) + ("cor-plain", "cor-star") + LEMMA_TARGETS + INTRO_TARGETS
+def _sort_key(self):
+    return (self.target, tuple(sorted(self.params.items())))
 
 
 @dataclass(frozen=True)
@@ -74,8 +57,7 @@ class VerificationTask:
     target: str
     params: dict[str, int] = field(default_factory=dict)
 
-    def sort_key(self):
-        return (self.target, tuple(sorted(self.params.items())))
+    sort_key = _sort_key
 
 
 @dataclass(frozen=True)
@@ -94,8 +76,7 @@ class CongruenceReport:
     modulus: tuple[int, int] | None
     elapsed_ms: int
 
-    def sort_key(self):
-        return (self.target, tuple(sorted(self.params.items())))
+    sort_key = _sort_key
 
 
 class CongruenceOutcome(NamedTuple):
@@ -108,7 +89,8 @@ def _half(x: int) -> int:
     # every halved exponent in the formulas is provably even; a failure here
     # is an implementation bug, not bad input
     q, r = divmod(x, 2)
-    assert r == 0, f"exponent {x} is not even"
+    if r:
+        raise ArithmeticError(f"exponent {x} is not even")
     return q
 
 
@@ -206,53 +188,12 @@ def rhs_theorem(
     return pre * binom * brace
 
 
-def _report(target, params, outcome, modulus, started) -> CongruenceReport:
-    elapsed = (time.perf_counter_ns() - started) // 1_000_000
-    return CongruenceReport(
-        target=target,
-        params=dict(params),
-        holds=outcome.holds,
-        residual=outcome.residual,
-        cleared_shift=outcome.cleared_shift,
-        modulus=modulus,
-        elapsed_ms=int(elapsed),
-    )
-
-
-def verify_theorem(kind: TrinomialKind, a: int, b: int, n: int) -> CongruenceReport:
-    """Check one truncated q-trinomial congruence modulo Phi_n(q)^2."""
-    started = time.perf_counter_ns()
-    lhs = truncated_q_trinomial(kind, a, b, n)
-    rhs = rhs_theorem(kind, a, b, n)
-    outcome = congruent(lhs, rhs, cyclotomic_power(n, 2))
-    return _report(TARGET_BY_KIND[kind], {"a": a, "b": b, "n": n}, outcome, (n, 2), started)
-
-
-def _int_outcome(value: int, target_value: int, modulus: int) -> CongruenceOutcome:
-    residual = (value - target_value) % modulus
-    return CongruenceOutcome(residual == 0, LaurentPoly(0, (residual,)), 0)
-
-
-def verify_corollary(variant: str, a: int, b: int, p: int) -> CongruenceReport:
-    """Check a truncated classical sum against +-C(a,b) modulo p^2."""
-    started = time.perf_counter_ns()
-    if variant == "plain":
-        value = truncated_classical("prime_plain", a, b, p)
-        target_value = binomial(a, b)
-    elif variant == "star":
-        value = truncated_classical("prime_star", a, b, p)
-        target_value = (-1) ** (a * p - b * p) * binomial(a, b)
-    else:
-        raise InvalidParameters(f"unknown corollary variant {variant!r}")
-    outcome = _int_outcome(value, target_value, p * p)
-    return _report(f"cor-{variant}", {"a": a, "b": b, "p": p}, outcome, (p, 2), started)
-
-
-def _lemma_sum(n: int, weight_exp) -> tuple[LaurentPoly, LaurentPoly]:
-    # LHS of the summation lemmas with denominators cleared: D is the product
-    # of the 1 - q^(n-k) factors, and each term k carries
+def _lemma_sides(n: int, weight_exp, correction: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    # the summation lemmas with denominators cleared: D is the product of the
+    # 1 - q^(n-k) factors, and each term k carries
     # N_k = D * (1-q^n)/(1-q^(n-k)); the k=0 ratio (1-q^n)/(1-q^n) is taken
-    # as 1, which sidesteps the removable singularity at n=0
+    # as 1, which sidesteps the removable singularity at n=0.  The right-hand
+    # side is correction * D.
     h = n // 2
     d_poly = ONE
     for j in range(1, h + 1):
@@ -266,141 +207,202 @@ def _lemma_sum(n: int, weight_exp) -> tuple[LaurentPoly, LaurentPoly]:
         sign = -1 if k % 2 else 1
         term = q_binomial(n - k, k) * nk
         total = total + shift(term, weight_exp(k)) * sign
-    return total, d_poly
+    return total, correction * d_poly
+
+
+# ---- hypothesis checks, worded as the CLI prints them when skipping ----
+
+
+def _hypothesis(holds: bool, reason: str) -> None:
+    if not holds:
+        raise InvalidParameters(reason)
+
+
+def _check_theorem(a: int, b: int, n: int) -> None:
+    _hypothesis(a > b >= 1, "requires a > b >= 1")
+    _hypothesis(n >= 1, "requires n >= 1")
+
+
+def _check_corollary(a: int, b: int, p: int) -> None:
+    _hypothesis(a > b >= 1, "requires a > b >= 1")
+    require_odd_prime(p)
+
+
+def _check_ljunggren(a: int, b: int, p: int) -> None:
+    require_odd_prime(p, 5)
+    _hypothesis(a >= 0 and b >= 0, "requires a, b >= 0")
+
+
+def _check_straub(a: int, b: int, n: int) -> None:
+    _hypothesis(a >= b >= 0, "requires a >= b >= 0")
+    _hypothesis(n >= 1 and math.gcd(n, 6) == 1, "requires n >= 1 with gcd(n, 6) = 1")
+
+
+# ---- target bodies: (lhs, rhs), plain integers for the p^k targets ----
+# Bodies look every helper up as a module global at call time.
+
+
+def _theorem_sides(kind: TrinomialKind):
+    return lambda a, b, n: (truncated_q_trinomial(kind, a, b, n), rhs_theorem(kind, a, b, n))
+
+
+def _lemma_2_1(n: int, k: int):
+    sign = -1 if k % 2 else 1
+    return q_binomial(2 * k - 1, k), monomial(_half(k * (3 * k - 1)), sign) * q_binomial(n - k, k)
+
+
+def _straub_q(a: int, b: int, n: int):
+    # gcd(n, 6) = 1 makes (1 - n^2)/24 an exact integer, keeping the
+    # whole right-hand side inside the integer polynomial ring
+    scale, r = divmod((1 - n * n) * (a - b) * b * binomial(a, b), 24)
+    if r:
+        raise ArithmeticError(f"24 does not divide the scale at a={a} b={b} n={n}")
+    lhs = q_binomial(a * n, b * n)
+    return lhs, substitute_power(q_binomial(a, b), n * n) + (ONE - monomial(n)) ** 2 * scale
+
+
+# ---- the target registry ----
+
+PHI, INT, EXACT = "Phi_n^k", "p^k", "exact"
+
+
+class TargetSpec(NamedTuple):
+    """One verification target.
+
+    params are its grid parameters in expansion order; check raises
+    InvalidParameters or NotPrime when a hypothesis fails; sides returns
+    (lhs, rhs).  They are compared modulo Phi_base(q)^power (PHI) or
+    base^power (INT), where base names a parameter, or exactly (EXACT).
+    """
+
+    name: str
+    params: tuple[str, ...]
+    check: Callable[..., None]
+    sides: Callable[..., tuple]
+    modulus: str = EXACT
+    base: str = ""
+    power: int = 0
+
+
+TARGET_BY_KIND = {
+    TrinomialKind.round: "theorem-a",
+    TrinomialKind.tau0: "theorem-b",
+    TrinomialKind.T0: "theorem-c",
+    TrinomialKind.T1: "theorem-d",
+    TrinomialKind.t0: "theorem-e",
+    TrinomialKind.t1: "theorem-f",
+}
+
+TARGETS: dict[str, TargetSpec] = {spec.name: spec for spec in (
+    *(TargetSpec(name, ("a", "b", "n"), _check_theorem, _theorem_sides(kind), PHI, "n", 2)
+      for kind, name in TARGET_BY_KIND.items()),
+    TargetSpec("cor-plain", ("a", "b", "p"), _check_corollary,
+               lambda a, b, p: (truncated_classical("plain", a, b, p), binomial(a, b)), INT, "p", 2),
+    TargetSpec("cor-star", ("a", "b", "p"), _check_corollary,
+               lambda a, b, p: (truncated_classical("star", a, b, p), (-1) ** (a * p - b * p) * binomial(a, b)),
+               INT, "p", 2),
+    TargetSpec("lemma-2.1", ("n", "k"), lambda n, k: _hypothesis(1 <= k <= n - 1, "requires 1 <= k <= n-1"),
+               _lemma_2_1, PHI, "n", 1),
+    TargetSpec("lemma-theta", ("n",), lambda n: _hypothesis(n >= 0, "requires n >= 0"),
+               lambda n: _lemma_sides(n, lambda k: _half(k * (k - 1)), theta(n))),
+    TargetSpec("lemma-vartheta", ("n",), lambda n: _hypothesis(n >= 0, "requires n >= 0"),
+               lambda n: _lemma_sides(n, lambda k: _half(k * (k - 3)), vartheta(n))),
+    TargetSpec("lemma-theta-inv", ("n",), lambda n: _hypothesis(n >= 1, "requires n >= 1"),
+               lambda n: _lemma_sides(n, lambda k: _half(k * (3 * k - 1)), substitute_power(theta(n), -1)),
+               PHI, "n", 2),
+    # upsilon is read as vartheta: the inverse lemma is the q -> 1/q image of
+    # the vartheta identity
+    TargetSpec("lemma-upsilon-inv", ("n",), lambda n: _hypothesis(n >= 1, "requires n >= 1"),
+               lambda n: _lemma_sides(n, lambda k: _half(k * (3 * k + 1)), substitute_power(vartheta(n), -1)),
+               PHI, "n", 2),
+    TargetSpec("babbage", ("p",), require_odd_prime,
+               lambda p: (binomial(2 * p - 1, p - 1), 1), INT, "p", 2),
+    TargetSpec("wolstenholme", ("p",), lambda p: require_odd_prime(p, 5),
+               lambda p: (binomial(2 * p - 1, p - 1), 1), INT, "p", 3),
+    TargetSpec("ljunggren", ("a", "b", "p"), _check_ljunggren,
+               lambda a, b, p: (binomial(a * p, b * p), binomial(a, b)), INT, "p", 3),
+    TargetSpec("andrews-q", ("p",), require_odd_prime,
+               lambda p: (q_binomial(2 * p - 1, p - 1), monomial(_half(p * (p - 1)))), PHI, "p", 2),
+    TargetSpec("straub-q", ("a", "b", "n"), _check_straub, _straub_q, PHI, "n", 3),
+)}
+ALL_TARGETS = tuple(TARGETS)
+
+
+# ---- running a target ----
+
+
+def _run(spec: TargetSpec, params: dict[str, int]) -> CongruenceReport:
+    started = time.perf_counter_ns()
+    spec.check(**params)
+    lhs, rhs = spec.sides(**params)
+    if spec.modulus == EXACT:
+        modulus = None
+        residual = lhs - rhs
+        outcome = CongruenceOutcome(residual.is_zero(), residual, 0)
+    else:
+        modulus = (params[spec.base], spec.power)
+        if spec.modulus == PHI:
+            outcome = congruent(lhs, rhs, cyclotomic_power(*modulus))
+        else:
+            residual = (lhs - rhs) % modulus[0] ** spec.power
+            outcome = CongruenceOutcome(residual == 0, LaurentPoly(0, (residual,)), 0)
+    return CongruenceReport(
+        target=spec.name,
+        params=params,
+        holds=outcome.holds,
+        residual=outcome.residual,
+        cleared_shift=outcome.cleared_shift,
+        modulus=modulus,
+        elapsed_ms=(time.perf_counter_ns() - started) // 1_000_000,
+    )
+
+
+def _verify(target: str, params: dict) -> CongruenceReport:
+    spec = TARGETS.get(target)
+    if spec is None:
+        raise InvalidParameters(f"unknown verification target {target!r}")
+    args = {}
+    for name in spec.params:
+        if params.get(name) is None:
+            raise InvalidParameters(f"{target} needs parameter {name}")
+        args[name] = params[name]
+    return _run(spec, args)
+
+
+def run_task(task: VerificationTask) -> CongruenceReport:
+    """Execute one VerificationTask; the dispatch point for batch runs."""
+    return _verify(task.target, task.params)
+
+
+def verify_theorem(kind: TrinomialKind, a: int, b: int, n: int) -> CongruenceReport:
+    """Check one truncated q-trinomial congruence modulo Phi_n(q)^2."""
+    return _run(TARGETS[TARGET_BY_KIND[kind]], {"a": a, "b": b, "n": n})
+
+
+def verify_corollary(variant: str, a: int, b: int, p: int) -> CongruenceReport:
+    """Check a truncated classical sum ("plain" or "star") against +-C(a,b) modulo p^2."""
+    return _verify(f"cor-{variant}", {"a": a, "b": b, "p": p})
 
 
 def verify_lemma(which: str, n: int, k: int | None = None) -> CongruenceReport:
     """Check one supporting lemma (binomial reduction, summation identity,
     or its q -> 1/q image)."""
-    started = time.perf_counter_ns()
-    if which == "lemma-2.1":
-        if k is None or not 1 <= k <= n - 1:
-            raise InvalidParameters("lemma-2.1 needs 1 <= k <= n-1")
-        sign = -1 if k % 2 else 1
-        lhs = q_binomial(2 * k - 1, k)
-        rhs = monomial(_half(k * (3 * k - 1)), sign) * q_binomial(n - k, k)
-        outcome = congruent(lhs, rhs, cyclotomic_power(n, 1))
-        return _report(which, {"n": n, "k": k}, outcome, (n, 1), started)
-
-    if which in ("lemma-theta", "lemma-vartheta"):
-        if n < 0:
-            raise InvalidParameters("identity lemmas need n >= 0")
-        if which == "lemma-theta":
-            lhs, d_poly = _lemma_sum(n, lambda k: _half(k * (k - 1)))
-            rhs = theta(n) * d_poly
-        else:
-            lhs, d_poly = _lemma_sum(n, lambda k: _half(k * (k - 3)))
-            rhs = vartheta(n) * d_poly
-        residual = lhs - rhs
-        outcome = CongruenceOutcome(residual.is_zero(), residual, 0)
-        return _report(which, {"n": n}, outcome, None, started)
-
-    if which in ("lemma-theta-inv", "lemma-upsilon-inv"):
-        if n < 1:
-            raise InvalidParameters("inverse lemmas need n >= 1")
-        if which == "lemma-theta-inv":
-            lhs, d_poly = _lemma_sum(n, lambda k: _half(k * (3 * k - 1)))
-            rhs = substitute_power(theta(n), -1) * d_poly
-        else:
-            # upsilon is read as vartheta: the inverse lemma is the q -> 1/q
-            # image of the vartheta identity
-            lhs, d_poly = _lemma_sum(n, lambda k: _half(k * (3 * k + 1)))
-            rhs = substitute_power(vartheta(n), -1) * d_poly
-        outcome = congruent(lhs, rhs, cyclotomic_power(n, 2))
-        return _report(which, {"n": n}, outcome, (n, 2), started)
-
-    raise InvalidParameters(f"unknown lemma {which!r}")
-
-
-def _require_prime(p: int, minimum: int) -> None:
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if p < minimum:
-        raise InvalidParameters(f"need a prime >= {minimum}, got {p}")
+    return _verify(which, {"n": n, "k": k})
 
 
 def verify_intro(which: str, **params: int) -> CongruenceReport:
     """Check one of the historical congruences the main results refine."""
-    started = time.perf_counter_ns()
-
-    def need(name: str) -> int:
-        if name not in params:
-            raise InvalidParameters(f"{which} needs parameter {name}")
-        return params[name]
-
-    if which == "babbage":
-        p = need("p")
-        _require_prime(p, 3)
-        outcome = _int_outcome(binomial(2 * p - 1, p - 1), 1, p * p)
-        return _report(which, {"p": p}, outcome, (p, 2), started)
-
-    if which == "wolstenholme":
-        p = need("p")
-        _require_prime(p, 5)
-        outcome = _int_outcome(binomial(2 * p - 1, p - 1), 1, p ** 3)
-        return _report(which, {"p": p}, outcome, (p, 3), started)
-
-    if which == "ljunggren":
-        a, b, p = need("a"), need("b"), need("p")
-        _require_prime(p, 5)
-        if a < 0 or b < 0:
-            raise InvalidParameters("need a, b >= 0")
-        outcome = _int_outcome(binomial(a * p, b * p), binomial(a, b), p ** 3)
-        return _report(which, {"a": a, "b": b, "p": p}, outcome, (p, 3), started)
-
-    if which == "andrews-q":
-        p = need("p")
-        _require_prime(p, 3)
-        lhs = q_binomial(2 * p - 1, p - 1)
-        rhs = monomial(_half(p * (p - 1)))
-        outcome = congruent(lhs, rhs, cyclotomic_power(p, 2))
-        return _report(which, {"p": p}, outcome, (p, 2), started)
-
-    if which == "straub-q":
-        a, b, n = need("a"), need("b"), need("n")
-        if n < 1 or math.gcd(n, 6) != 1:
-            raise InvalidParameters("need n >= 1 with gcd(n, 6) = 1")
-        if b < 0 or a < b:
-            raise InvalidParameters("need a >= b >= 0")
-        # gcd(n, 6) = 1 makes (1 - n^2)/24 an exact integer, keeping the
-        # whole right-hand side inside the integer polynomial ring
-        scale, r = divmod((1 - n * n) * (a - b) * b * binomial(a, b), 24)
-        assert r == 0
-        lhs = q_binomial(a * n, b * n)
-        rhs = substitute_power(q_binomial(a, b), n * n) + (ONE - monomial(n)) ** 2 * scale
-        outcome = congruent(lhs, rhs, cyclotomic_power(n, 3))
-        return _report(which, {"a": a, "b": b, "n": n}, outcome, (n, 3), started)
-
-    raise InvalidParameters(f"unknown intro congruence {which!r}")
-
-
-def run_task(task: VerificationTask) -> CongruenceReport:
-    """Execute one VerificationTask; the dispatch point for batch runs."""
-    t, p = task.target, task.params
-    if t in KIND_BY_TARGET:
-        return verify_theorem(KIND_BY_TARGET[t], p["a"], p["b"], p["n"])
-    if t == "cor-plain":
-        return verify_corollary("plain", p["a"], p["b"], p["p"])
-    if t == "cor-star":
-        return verify_corollary("star", p["a"], p["b"], p["p"])
-    if t == "lemma-2.1":
-        return verify_lemma(t, p["n"], p["k"])
-    if t in LEMMA_TARGETS:
-        return verify_lemma(t, p["n"])
-    if t in INTRO_TARGETS:
-        return verify_intro(t, **p)
-    raise InvalidParameters(f"unknown verification target {t!r}")
+    return _verify(which, params)
 
 
 __all__ = [
     "ALL_TARGETS",
     "CongruenceOutcome",
     "CongruenceReport",
-    "INTRO_TARGETS",
-    "KIND_BY_TARGET",
-    "LEMMA_TARGETS",
     "Modulus",
+    "TARGETS",
     "TARGET_BY_KIND",
+    "TargetSpec",
     "VerificationTask",
     "congruent",
     "cyclotomic",

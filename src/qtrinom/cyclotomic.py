@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 
 from .polyring import ONE, LaurentPoly, exact_div, monomial
 
-CyclotomicCache = dict  # index n -> expanded Phi_n(q)
-
-_CACHE: CyclotomicCache = {}
+# index n -> expanded Phi_n(q)
+_CACHE: dict[int, LaurentPoly] = {}
 
 
 def mobius(n: int) -> int:
@@ -34,13 +33,11 @@ def mobius(n: int) -> int:
     return result
 
 
-def cyclotomic(n: int, cache: CyclotomicCache | None = None) -> LaurentPoly:
+def cyclotomic(n: int) -> LaurentPoly:
     """The n-th cyclotomic polynomial, expanded and monic of degree phi(n)."""
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
-    if cache is None:
-        cache = _CACHE
-    hit = cache.get(n)
+    hit = _CACHE.get(n)
     if hit is not None:
         return hit
     num = ONE
@@ -58,7 +55,7 @@ def cyclotomic(n: int, cache: CyclotomicCache | None = None) -> LaurentPoly:
     # divisibility is guaranteed by the Moebius product formula; a failure
     # here is an implementation bug, so NonExactDivision is allowed to escape
     result = exact_div(num, den)
-    cache[n] = result
+    _CACHE[n] = result
     return result
 
 
@@ -71,8 +68,8 @@ class Modulus:
     poly: LaurentPoly = field(compare=False)
 
 
-def cyclotomic_power(n: int, k: int, cache: CyclotomicCache | None = None) -> Modulus:
+def cyclotomic_power(n: int, k: int) -> Modulus:
     """Phi_n(q)^k as a Modulus; monic of degree k*phi(n)."""
     if k < 1:
         raise ValueError("modulus power must be positive")
-    return Modulus(n, k, cyclotomic(n, cache) ** k)
+    return Modulus(n, k, cyclotomic(n) ** k)

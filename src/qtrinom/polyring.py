@@ -265,23 +265,12 @@ def _unpack(n: int, w: int, count: int) -> list[int]:
         if v:
             out[i] = sign * v
     # a correct digit bound leaves nothing past the last coefficient
-    assert carry == 0 and not any(raw[count * w :])
+    if carry or any(raw[count * w :]):
+        raise ArithmeticError("Kronecker digit bound exceeded")
     return out
 
 
 # ---- named operation surface ----
-
-
-def add(x: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
-    return x + y
-
-
-def mul(x: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
-    return x * y
-
-
-def pow(x: LaurentPoly, e: int) -> LaurentPoly:  # noqa: A001 - named like the operator it wraps
-    return x ** e
 
 
 def shift(x: LaurentPoly, d: int) -> LaurentPoly:

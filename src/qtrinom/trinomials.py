@@ -47,6 +47,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_odd_prime(p: int, minimum: int = 3) -> None:
+    """Raise NotPrime / InvalidParameters unless p is an odd prime >= minimum."""
+    if not is_prime(p):
+        raise NotPrime(f"p={p} is not prime")
+    if p == 2:
+        raise InvalidParameters("p must be odd")
+    if p < minimum:
+        raise InvalidParameters(f"p must be >= {minimum}")
+
+
 class TrinomialKind(str, Enum):
     round = "round"
     tau0 = "tau0"
@@ -81,16 +91,6 @@ _WEIGHT_EXP = {
 def classical_trinomial(n: int, m: int) -> int:
     """Coefficient of x^(m+n) in (1+x+x^2)^n; zero for |m| > n."""
     return sum(binomial(n, k) * binomial(n - k, m + k) for k in range(n + 1))
-
-
-def _classical_trinomial_alt(n: int, m: int) -> int:
-    # second closed form; kept as an independent route for the test suite
-    return sum((-1) ** k * binomial(n, k) * binomial(2 * n - 2 * k, n - m - k) for k in range(n + 1))
-
-
-def _classical_trinomial_expand(n: int, m: int) -> int:
-    # third route: expand (1+x+x^2)^n directly and read off one coefficient
-    return (LaurentPoly(0, (1, 1, 1)) ** n)[m + n]
 
 
 def _summand(kind: TrinomialKind, n: int, m: int, k: int) -> LaurentPoly:
@@ -141,20 +141,17 @@ def truncated_q_trinomial(
 def truncated_classical(variant: str, a: int, b: int, p: int) -> int:
     """Truncated classical trinomial sums at (ap, bp) for an odd prime p.
 
-    prime_plain: sum_{k=0}^{(p-1)/2} C(ap,k) C(ap-k, bp+k)
-    prime_star:  sum_{k=ap-bp-(p-1)/2}^{ap-bp} (-1)^k C(ap,k) C(2ap-2k, ap-bp-k)
+    plain: sum_{k=0}^{(p-1)/2} C(ap,k) C(ap-k, bp+k)
+    star:  sum_{k=ap-bp-(p-1)/2}^{ap-bp} (-1)^k C(ap,k) C(2ap-2k, ap-bp-k)
     """
     if b < 1 or a <= b:
         raise InvalidParameters("need a > b >= 1")
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if p == 2:
-        raise InvalidParameters("p must be an odd prime")
+    require_odd_prime(p)
     half = (p - 1) // 2
     ap, bp = a * p, b * p
-    if variant == "prime_plain":
+    if variant == "plain":
         return sum(binomial(ap, k) * binomial(ap - k, bp + k) for k in range(half + 1))
-    if variant == "prime_star":
+    if variant == "star":
         return sum(
             (-1) ** k * binomial(ap, k) * binomial(2 * ap - 2 * k, ap - bp - k)
             for k in range(ap - bp - half, ap - bp + 1)

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from oracles import classical_trinomial_alt, classical_trinomial_expand
 from qtrinom.cli import report_from_json
 from qtrinom.congruence import (
     congruent,
@@ -27,8 +28,6 @@ from qtrinom.polyring import ONE, eval_at_one, exact_div, make_poly, monomial
 from qtrinom.qcombinatorics import q_binomial
 from qtrinom.trinomials import (
     TrinomialKind,
-    _classical_trinomial_alt,
-    _classical_trinomial_expand,
     classical_trinomial,
     q_trinomial,
     truncated_q_trinomial,
@@ -71,7 +70,7 @@ def test_criterion_3_corollary_suite():
     # the pinned instance: 1452 = 2 + 58*25
     from qtrinom.trinomials import truncated_classical
 
-    assert truncated_classical("prime_plain", 2, 1, 5) == 1452
+    assert truncated_classical("plain", 2, 1, 5) == 1452
     assert 1452 % 25 == 2 == math.comb(2, 1)
 
     # p = 3 is recorded, not presumed; these outcomes come from the direct
@@ -124,7 +123,7 @@ def test_criterion_6_oracle_equivalences():
     for n in range(13):
         for m in range(-n - 1, n + 2):
             value = classical_trinomial(n, m)
-            assert value == _classical_trinomial_alt(n, m) == _classical_trinomial_expand(n, m)
+            assert value == classical_trinomial_alt(n, m) == classical_trinomial_expand(n, m)
 
     for kind in ALL_KINDS:
         for n in range(11):

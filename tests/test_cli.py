@@ -2,7 +2,10 @@
 
 import csv
 import io
+import itertools
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -18,9 +21,17 @@ from qtrinom.cli import (
     report_to_text,
     run_verify,
 )
-from qtrinom.congruence import CongruenceReport, run_task, verify_lemma, verify_theorem
+from qtrinom.congruence import (
+    ALL_TARGETS,
+    TARGETS,
+    CongruenceReport,
+    VerificationTask,
+    run_task,
+    verify_lemma,
+    verify_theorem,
+)
 from qtrinom.polyring import LaurentPoly
-from qtrinom.trinomials import TrinomialKind
+from qtrinom.trinomials import InvalidParameters, NotPrime, TrinomialKind
 
 
 def test_parse_int_list():
@@ -89,6 +100,37 @@ def test_expand_tasks_deduplicates_and_sorts():
     assert len(tasks) == 4  # 2 babbage + 2 theorem-a
 
 
+def test_expand_tasks_skips_exactly_what_run_task_rejects():
+    # the grid includes invalid points for every target; a point must be
+    # skipped iff running it raises, and the warning must quote the exception
+    values = {"a": range(-1, 5), "b": range(-1, 5), "n": range(-1, 8), "p": range(1, 14), "k": range(0, 8)}
+    cfg = RunConfig(
+        targets=[],
+        a_range=list(values["a"]),
+        b_range=list(values["b"]),
+        n_range=list(values["n"]),
+        p_list=list(values["p"]),
+        k_range=list(values["k"]),
+    )
+    for target in ALL_TARGETS:
+        cfg.targets = [target]
+        tasks, warnings = expand_tasks(cfg)
+        names = TARGETS[target].params
+        kept, expected_warnings = [], []
+        for point in itertools.product(*(values[name] for name in names)):
+            task = VerificationTask(target, dict(zip(names, point)))
+            try:
+                run_task(task)
+            except (InvalidParameters, NotPrime) as exc:
+                pretty = " ".join(f"{k}={v}" for k, v in sorted(task.params.items()))
+                expected_warnings.append(f"skipping {target} {pretty}: {exc}")
+            else:
+                kept.append(task)
+        assert tasks == sorted(kept, key=VerificationTask.sort_key), target
+        assert warnings == expected_warnings, target
+        assert tasks and warnings, target  # the grid exercises both outcomes
+
+
 def test_expand_tasks_errors():
     with pytest.raises(UsageError):
         expand_tasks(RunConfig(targets=["theorem-a"], n_range=[1]))  # no --a
@@ -111,8 +153,6 @@ def _sample_reports():
 
 
 def run_task_report(target, **params):
-    from qtrinom.congruence import VerificationTask
-
     return run_task(VerificationTask(target, params))
 
 
@@ -243,6 +283,39 @@ def test_run_verify_deterministic_across_jobs():
     assert keys == sorted(keys)
 
 
+def test_run_verify_clamps_jobs(monkeypatch):
+    created = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            created.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+
+    def run(jobs, primes):
+        cfg = RunConfig(targets=["babbage"], p_list=primes, jobs=jobs)
+        assert run_verify(cfg, stream=io.StringIO(), err=io.StringIO()) == 0
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    run(8, [3, 5])  # two tasks
+    run(8, [3, 5, 7, 11, 13])  # three CPUs
+    run(2, [3, 5, 7])
+    run(8, [3])  # one task: no pool
+    run(1, [3, 5, 7])
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU
+    run(8, [3, 5, 7])
+    assert created == [2, 3, 2]
+
+
 # ---- main() and compute ----
 
 
@@ -283,6 +356,16 @@ def test_main_compute_usage_errors(capsys):
     capsys.readouterr()
     assert main(["compute", "--object", "truncated", "--kind", "T0", "--a", "1", "--b", "1", "--n", "1"]) == 2
     capsys.readouterr()
+
+
+def test_main_compute_rejects_base_zero(capsys):
+    assert main(["compute", "--object", "qbinom", "--n", "4", "--m", "2", "--base", "0"]) == 2
+    assert "base power must be positive" in capsys.readouterr().err
+
+
+def test_main_compute_rejects_power_zero(capsys):
+    assert main(["compute", "--object", "cyclotomic", "--n", "6", "--k", "0"]) == 2
+    assert "power must be positive" in capsys.readouterr().err
 
 
 def test_main_verify_spec_example(capsys):

@@ -1,13 +1,20 @@
 """Congruence checker, correction monomials, and all verification targets."""
 
 import logging
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qtrinom.congruence import (
+    EXACT,
+    INT,
+    PHI,
     TARGET_BY_KIND,
+    TARGETS,
     CongruenceReport,
     VerificationTask,
     congruent,
@@ -331,6 +338,39 @@ def test_run_task_dispatch():
         assert report.elapsed_ms >= 0
     with pytest.raises(InvalidParameters):
         run_task(VerificationTask("theorem-z", {"a": 2, "b": 1, "n": 3}))
+
+
+def test_registry_modulus_matches_reports():
+    samples = {"a": 3, "b": 1, "n": 5, "p": 7, "k": 2}
+    for name, spec in TARGETS.items():
+        assert spec.name == name
+        report = run_task(VerificationTask(name, {p: samples[p] for p in spec.params}))
+        assert report.holds, name
+        if spec.modulus == EXACT:
+            assert report.modulus is None, name
+        else:
+            assert spec.modulus in (PHI, INT) and spec.base in spec.params, name
+            assert report.modulus == (samples[spec.base], spec.power), name
+
+
+def test_invariant_checks_survive_python_O():
+    # python -O strips assert statements, so the invariants must raise
+    script = "\n".join(
+        [
+            "from qtrinom.congruence import _half, _straub_q",
+            "from qtrinom.polyring import _unpack",
+            "for check in (lambda: _half(3), lambda: _unpack(1 << 16, 1, 2), lambda: _straub_q(2, 1, 2)):",
+            "    try:",
+            "        check()",
+            "    except ArithmeticError:",
+            "        continue",
+            "    raise SystemExit('invariant not enforced')",
+        ]
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_kind_has_a_target():

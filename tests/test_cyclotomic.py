@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from qtrinom.cyclotomic import Modulus, cyclotomic, cyclotomic_power, mobius
+from qtrinom.cyclotomic import _CACHE, Modulus, cyclotomic, cyclotomic_power, mobius
 from qtrinom.polyring import ONE, eval_at_one, make_poly, monomial
 from qtrinom.qcombinatorics import q_integer
 
@@ -81,14 +81,10 @@ def test_prime_cyclotomic_is_q_integer():
         assert cyclotomic(p) == q_integer(p)
 
 
-def test_cache_idempotent_and_injectable():
-    cache = {}
-    first = cyclotomic(12, cache)
-    second = cyclotomic(12, cache)
-    assert first == second
-    assert cache[12] is first
-    assert cyclotomic(12) == first  # default cache agrees
-    assert set(cache) <= {1, 2, 3, 4, 6, 12}  # only the requested index is stored
+def test_cache_idempotent():
+    first = cyclotomic(12)
+    assert cyclotomic(12) is first
+    assert _CACHE[12] is first
 
 
 def test_cached_entries_are_monic_ordinary():

@@ -23,7 +23,6 @@ from qtrinom.polyring import (
     substitute_power,
     to_text,
 )
-from qtrinom import polyring
 
 
 def test_make_poly_examples():
@@ -139,14 +138,6 @@ def test_eval_at_one_examples():
     assert eval_at_one(make_poly([(0, 1), (1, 1), (2, 1)])) == 3
     assert eval_at_one(make_poly([(-1, 1), (1, -1)])) == 0
     assert eval_at_one(ZERO) == 0
-
-
-def test_named_surface_matches_operators():
-    x = make_poly([(0, 2), (3, -1)])
-    y = make_poly([(-1, 1), (1, 4)])
-    assert polyring.add(x, y) == x + y
-    assert polyring.mul(x, y) == x * y
-    assert polyring.pow(x, 3) == x ** 3
 
 
 # ---- text format ----

@@ -5,14 +5,13 @@ import math
 
 import pytest
 
+from oracles import classical_trinomial_alt, classical_trinomial_expand
 from qtrinom.polyring import ONE, ZERO, eval_at_one, make_poly, monomial
 from qtrinom.qcombinatorics import q_binomial, q_binomial_base
 from qtrinom.trinomials import (
     InvalidParameters,
     NotPrime,
     TrinomialKind,
-    _classical_trinomial_alt,
-    _classical_trinomial_expand,
     classical_trinomial,
     is_prime,
     q_trinomial,
@@ -42,8 +41,8 @@ def test_classical_three_way_agreement():
     for n in range(13):
         for m in range(-n - 1, n + 2):
             a = classical_trinomial(n, m)
-            assert a == _classical_trinomial_alt(n, m), (n, m)
-            assert a == _classical_trinomial_expand(n, m), (n, m)
+            assert a == classical_trinomial_alt(n, m), (n, m)
+            assert a == classical_trinomial_expand(n, m), (n, m)
 
 
 def test_q_trinomial_examples():
@@ -145,12 +144,12 @@ def test_reflected_sums_match_truncated():
 
 def test_truncated_classical_examples():
     # 252 + 10*84 + 45*8
-    assert truncated_classical("prime_plain", 2, 1, 5) == 1452
+    assert truncated_classical("plain", 2, 1, 5) == 1452
     # C(6,3) + C(6,1)*C(5,4) = 20 + 30
-    assert truncated_classical("prime_plain", 2, 1, 3) == 50
+    assert truncated_classical("plain", 2, 1, 3) == 50
     # brute-force sum oracle, k from 2 to 3: C(6,2)C(8,1) - C(6,3)C(6,0)
     assert math.comb(6, 2) * math.comb(8, 1) - math.comb(6, 3) == 100
-    assert truncated_classical("prime_star", 2, 1, 3) == 100
+    assert truncated_classical("star", 2, 1, 3) == 100
 
 
 def test_truncated_classical_matches_brute_force():
@@ -166,16 +165,16 @@ def test_truncated_classical_matches_brute_force():
                     (-1) ** k * math.comb(ap, k) * math.comb(2 * ap - 2 * k, ap - bp - k)
                     for k in range(ap - bp - (p - 1) // 2, ap - bp + 1)
                 )
-                assert truncated_classical("prime_plain", a, b, p) == plain
-                assert truncated_classical("prime_star", a, b, p) == star
+                assert truncated_classical("plain", a, b, p) == plain
+                assert truncated_classical("star", a, b, p) == star
 
 
 def test_truncated_classical_errors():
     with pytest.raises(NotPrime):
-        truncated_classical("prime_plain", 2, 1, 9)
+        truncated_classical("plain", 2, 1, 9)
     with pytest.raises(InvalidParameters):
-        truncated_classical("prime_plain", 2, 1, 2)
+        truncated_classical("plain", 2, 1, 2)
     with pytest.raises(InvalidParameters):
-        truncated_classical("prime_plain", 1, 1, 5)
+        truncated_classical("plain", 1, 1, 5)
     with pytest.raises(InvalidParameters):
         truncated_classical("nonsense", 2, 1, 5)
