@@ -6,7 +6,8 @@ one-off exact computations.
 
 Ranges are written lo..hi (inclusive) or as comma lists.  Reports stream in
 a deterministic order (target, then params) regardless of --jobs; exit code
-is 0 when every check holds, 1 when any fails, 2 on usage errors.
+is 0 when every check holds, 1 when any fails, 2 on usage errors, and 3 when
+a task hits an internal fault (the reports before it are still emitted).
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .congruence import (
 )
 from .cyclotomic import cyclotomic, cyclotomic_power
 from .polyring import from_text, to_text
-from .qcombinatorics import q_binomial_base
+from .qcombinatorics import _env_cache_limit, q_binomial_base
 from .trinomials import (
     InvalidParameters,
     NotPrime,
@@ -46,6 +47,15 @@ _TEXT_RESIDUAL_DEGREE_CAP = 40
 
 class UsageError(Exception):
     pass
+
+
+class TaskFailed(Exception):
+    """A verification task raised something other than a hypothesis failure:
+    an internal fault, reported with the task it happened in."""
+
+    def __init__(self, task: VerificationTask, exc: BaseException):
+        params = " ".join(f"{k}={v}" for k, v in sorted(task.params.items()))
+        super().__init__(f"{task.target} {params}: {type(exc).__name__}: {exc}")
 
 
 @dataclass
@@ -205,6 +215,20 @@ CSV_COLUMNS = ["target", "params", "holds", "cleared_shift", "elapsed_ms"]
 # ---- execution ----
 
 
+def _name_faults(tasks: list[VerificationTask], reports: Iterable[CongruenceReport]):
+    """Yield reports in task order; a task that raises an internal fault is
+    named in a TaskFailed.  Results arrive in task order under --jobs too, so
+    the task being fetched is the one that raised."""
+    reports = iter(reports)
+    for task in tasks:
+        try:
+            yield next(reports)
+        except (InvalidParameters, NotPrime):
+            raise
+        except Exception as exc:
+            raise TaskFailed(task, exc) from exc
+
+
 def _emit_stream(reports: Iterable[CongruenceReport], fmt: str, stream: IO[str], fail_fast: bool) -> int:
     any_failed = False
     writer = None
@@ -248,10 +272,9 @@ def run_verify(cfg: RunConfig, stream: IO[str] | None = None, err: IO[str] | Non
             with multiprocessing.Pool(processes=jobs) as pool:
                 # imap preserves submission order, which is already the
                 # deterministic sorted order
-                return _emit_stream(
-                    pool.imap(run_task, tasks, chunksize=1), cfg.format, stream, cfg.fail_fast
-                )
-        return _emit_stream(map(run_task, tasks), cfg.format, stream, cfg.fail_fast)
+                reports = pool.imap(run_task, tasks, chunksize=1)
+                return _emit_stream(_name_faults(tasks, reports), cfg.format, stream, cfg.fail_fast)
+        return _emit_stream(_name_faults(tasks, map(run_task, tasks)), cfg.format, stream, cfg.fail_fast)
     finally:
         if close_stream:
             stream.close()
@@ -339,6 +362,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # the memo cap is read when qcombinatorics is imported, where a bad
+        # value cannot be reported; read it again here to reject it
+        _env_cache_limit()
         if args.command == "verify":
             targets: list[str] = []
             for chunk in args.target:
@@ -357,7 +383,12 @@ def main(argv: list[str] | None = None) -> int:
             )
             return run_verify(cfg)
         return run_compute(args)
-    except (UsageError, InvalidParameters, ValueError) as exc:
+    except TaskFailed as exc:
+        print(f"qtrinom: internal error in {exc}", file=sys.stderr)
+        return 3
+    except (UsageError, ValueError) as exc:
+        # InvalidParameters and NotPrime are ValueErrors, as are compute's
+        # argument errors; a task's other ValueErrors arrive as TaskFailed
         print(f"qtrinom: error: {exc}", file=sys.stderr)
         return 2
 

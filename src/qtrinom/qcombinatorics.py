@@ -10,7 +10,8 @@ Out-of-range m yields the zero polynomial.
 
 QTRINOM_CACHE_LIMIT (environment) puts a soft cap on the number of cached
 entries; computation stays exact beyond the cap, new results simply stop
-being retained.
+being retained.  Negative values mean 0.  A value that is not an integer
+leaves the memo uncapped on import; the CLI rejects it as a usage error.
 """
 from __future__ import annotations
 
@@ -24,10 +25,16 @@ def _env_cache_limit() -> int | None:
     raw = os.environ.get("QTRINOM_CACHE_LIMIT")
     if not raw:
         return None
-    return max(0, int(raw))
+    try:
+        return max(0, int(raw))
+    except ValueError:
+        raise ValueError(f"QTRINOM_CACHE_LIMIT must be an integer, got {raw!r}") from None
 
 
-_CACHE_LIMIT = _env_cache_limit()
+try:
+    _CACHE_LIMIT = _env_cache_limit()
+except ValueError:
+    _CACHE_LIMIT = None
 
 # (n, m) -> [n m]_q, with m already canonicalized to min(m, n-m)
 _QBINOM: dict[tuple[int, int], LaurentPoly] = {}

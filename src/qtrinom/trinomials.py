@@ -15,13 +15,15 @@ one summation driver here and differ only in the weight exponent, the base
 
 Truncated forms keep the same summands but restrict k to the window used by
 the congruence statements: k in [0, floor(n/2)] for round, and
-k in [an-bn-floor(n/2), an-bn] for the other five.
+k in [an-bn-floor(n/2), an-bn] for the other five.  A truncated sum can be
+built modulo a monic polynomial instead of in full: every summand is then
+reduced as it is formed, so the sum never grows past the modulus degree.
 """
 from __future__ import annotations
 
 from enum import Enum
 
-from .polyring import ZERO, LaurentPoly, shift
+from .polyring import ZERO, LaurentPoly, rem_monic, shift
 from .qcombinatorics import binomial, q_binomial, q_binomial_base
 
 
@@ -93,15 +95,22 @@ def classical_trinomial(n: int, m: int) -> int:
     return sum(binomial(n, k) * binomial(n - k, m + k) for k in range(n + 1))
 
 
-def _summand(kind: TrinomialKind, n: int, m: int, k: int) -> LaurentPoly:
+def _summand(
+    kind: TrinomialKind, n: int, m: int, k: int, reduce_by: LaurentPoly | None = None
+) -> LaurentPoly:
     if kind is TrinomialKind.round:
         second = q_binomial(n - k, m + k)
     else:
         second = q_binomial(2 * n - 2 * k, n - m - k)
     if second.is_zero():
         return ZERO
-    prod = q_binomial_base(n, k, _BASE[kind]) * second
-    term = shift(prod, _WEIGHT_EXP[kind](n, m, k))
+    # every weight exponent is >= 0, so the weighted first factor stays an
+    # ordinary polynomial that rem_monic accepts
+    first = shift(q_binomial_base(n, k, _BASE[kind]), _WEIGHT_EXP[kind](n, m, k))
+    if reduce_by is None:
+        term = first * second
+    else:
+        term = rem_monic(rem_monic(first, reduce_by) * rem_monic(second, reduce_by), reduce_by)
     if kind is not TrinomialKind.round and k % 2 == 1:
         return -term
     return term
@@ -116,12 +125,22 @@ def q_trinomial(kind: TrinomialKind, n: int, m: int) -> LaurentPoly:
 
 
 def truncated_q_trinomial(
-    kind: TrinomialKind, a: int, b: int, n: int, span: int | None = None
+    kind: TrinomialKind,
+    a: int,
+    b: int,
+    n: int,
+    span: int | None = None,
+    reduce_by: LaurentPoly | None = None,
 ) -> LaurentPoly:
     """The truncated q-trinomial sum at (an, bn).
 
     span overrides the floor(n/2) window width; it exists so tests can widen
     the window until the sum matches the untruncated coefficient.
+
+    reduce_by, a monic ordinary polynomial, returns the sum's Euclidean
+    remainder modulo it instead of the full sum; each summand's factors and
+    their product are reduced as they are built, so the products stay below
+    twice the modulus degree and the running sum below it.
     """
     if b < 1 or a <= b or n < 1:
         raise InvalidParameters("need a > b >= 1 and n >= 1")
@@ -134,7 +153,7 @@ def truncated_q_trinomial(
         ks = range(an - bn - span, an - bn + 1)
     total = ZERO
     for k in ks:
-        total = total + _summand(kind, an, bn, k)
+        total = total + _summand(kind, an, bn, k, reduce_by)
     return total
 
 

@@ -6,9 +6,12 @@ import itertools
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
+import qtrinom.cli as cli_module
 from qtrinom.cli import (
     CSV_COLUMNS,
     RunConfig,
@@ -30,7 +33,7 @@ from qtrinom.congruence import (
     verify_lemma,
     verify_theorem,
 )
-from qtrinom.polyring import LaurentPoly
+from qtrinom.polyring import LaurentPoly, NegativeExponent, NonExactDivision, NotMonic
 from qtrinom.trinomials import InvalidParameters, NotPrime, TrinomialKind
 
 
@@ -416,3 +419,58 @@ def test_main_out_file(tmp_path, capsys):
     lines = out_file.read_text().strip().splitlines()
     assert len(lines) == 6
     assert all(json.loads(l)["modulus"] is None for l in lines)
+
+
+# ---- internal faults and the environment ----
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [NotMonic("modulus must be monic"), NegativeExponent("dividend has negative exponents"),
+     NonExactDivision("nonzero remainder"), ArithmeticError("exponent 3 is not even")],
+)
+def test_main_verify_internal_fault_exit_3(monkeypatch, capsys, fault):
+    # an internal fault is not a usage error: the reports before it stay in
+    # the stream and the failing task is named
+    calls = []
+
+    def second_raises(task):
+        calls.append(task)
+        if len(calls) == 2:
+            raise fault
+        return run_task(task)
+
+    monkeypatch.setattr(cli_module, "run_task", second_raises)
+    code = main(["verify", "--target", "theorem-a", "--n", "1..3", "--a", "2", "--b", "1",
+                 "--format", "json", "--jobs", "1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert len(lines) == 1 and report_from_json(lines[0]).params["n"] == 1
+    assert captured.err == (
+        f"qtrinom: internal error in theorem-a a=2 b=1 n=2: {type(fault).__name__}: {fault}\n"
+    )
+
+
+def test_main_verify_hypothesis_failure_in_task_stays_exit_2(monkeypatch, capsys):
+    def rejects(task):
+        raise InvalidParameters("requires a > b >= 1")
+
+    monkeypatch.setattr(cli_module, "run_task", rejects)
+    assert main(["verify", "--target", "babbage", "--p", "3"]) == 2
+    assert capsys.readouterr().err == "qtrinom: error: requires a > b >= 1\n"
+
+
+def test_cache_limit_not_an_integer_is_a_usage_error():
+    # the variable is read when the package is imported, so only a fresh
+    # process shows what a user sees
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, QTRINOM_CACHE_LIMIT="abc",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qtrinom.cli", "verify", "--target", "babbage", "--p", "3"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "qtrinom: error: QTRINOM_CACHE_LIMIT must be an integer, got 'abc'\n"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qtrinom.congruence as congruence_module
 from qtrinom.congruence import (
     EXACT,
     INT,
@@ -175,6 +176,49 @@ def test_verify_theorem_small_grid_all_kinds():
             for a in (2, 3, 4):
                 for b in range(1, a):
                     assert verify_theorem(kind, a, b, n).holds, (kind, a, b, n)
+
+
+def _direct_outcome(kind, a, b, n, correction=True):
+    # the oracle: full expansion of the lhs, then one reduction
+    lhs = truncated_q_trinomial(kind, a, b, n)
+    rhs = rhs_theorem(kind, a, b, n, correction=correction)
+    return congruent(lhs, rhs, cyclotomic_power(n, 2))
+
+
+def _small_theorem_grid(n_max):
+    for kind in ALL_KINDS:
+        for n in range(1, n_max + 1):
+            for a in (2, 3, 4):
+                for b in range(1, a):
+                    yield kind, a, b, n
+
+
+def test_verify_theorem_matches_direct_path():
+    # the theorem targets build the lhs modulo (q^n - 1)^2; the report must
+    # be the one the fully expanded lhs gives
+    for kind, a, b, n in _small_theorem_grid(10):
+        report = verify_theorem(kind, a, b, n)
+        direct = _direct_outcome(kind, a, b, n)
+        got = (report.holds, report.residual, report.cleared_shift)
+        assert got == tuple(direct), (kind, a, b, n)
+
+
+def test_negative_control_through_run_task(monkeypatch):
+    # with the correction dropped the reduced path must still fail, and
+    # with the residual the fully expanded path gives
+    original = congruence_module.rhs_theorem
+    monkeypatch.setattr(
+        congruence_module, "rhs_theorem",
+        lambda kind, a, b, n: original(kind, a, b, n, correction=False),
+    )
+    failed = set()
+    for kind, a, b, n in _small_theorem_grid(4):
+        report = run_task(VerificationTask(TARGET_BY_KIND[kind], {"a": a, "b": b, "n": n}))
+        direct = _direct_outcome(kind, a, b, n, correction=False)
+        assert (report.holds, report.residual, report.cleared_shift) == tuple(direct)
+        if not report.holds:
+            failed.add(kind)
+    assert failed == set(ALL_KINDS)
 
 
 def test_negative_control_round_spot():

@@ -251,3 +251,19 @@ def test_pickle_round_trip(x):
 
     clone = pickle.loads(pickle.dumps(x))
     assert clone == x and clone.offset == x.offset
+
+
+@pytest.mark.parametrize("signs", ["positive", "negative", "alternating"])
+@pytest.mark.parametrize("length", [1, 255, 256, 257])
+@pytest.mark.parametrize("bits", [1, 7, 8, 9, 64, 1000])
+def test_mul_kronecker_at_the_digit_bound(bits, length, signs):
+    # every coefficient at the largest magnitude its bit length allows: the
+    # centre product coefficient is then as large as the digit width permits,
+    # which random coefficients almost never reach
+    top = (1 << bits) - 1
+    if signs == "alternating":
+        a = [top if i % 2 == 0 else -top for i in range(length)]
+    else:
+        a = [top if signs == "positive" else -top] * length
+    assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
+    assert _mul_kronecker(a, [-c for c in a]) == _mul_schoolbook(a, [-c for c in a])

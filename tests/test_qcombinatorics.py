@@ -103,6 +103,11 @@ def test_cache_limit_env_parsing(monkeypatch):
     assert qcombinatorics._env_cache_limit() == 100
     monkeypatch.setenv("QTRINOM_CACHE_LIMIT", "")
     assert qcombinatorics._env_cache_limit() is None
+    monkeypatch.setenv("QTRINOM_CACHE_LIMIT", "-5")
+    assert qcombinatorics._env_cache_limit() == 0
+    monkeypatch.setenv("QTRINOM_CACHE_LIMIT", "abc")
+    with pytest.raises(ValueError, match="QTRINOM_CACHE_LIMIT must be an integer"):
+        qcombinatorics._env_cache_limit()
 
 
 def test_concurrent_memo_access(monkeypatch):

@@ -4,9 +4,11 @@ consistency of the truncated sums with the untruncated definitions."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import classical_trinomial_alt, classical_trinomial_expand
-from qtrinom.polyring import ONE, ZERO, eval_at_one, make_poly, monomial
+from qtrinom.polyring import ONE, ZERO, eval_at_one, make_poly, monomial, rem_monic
 from qtrinom.qcombinatorics import q_binomial, q_binomial_base
 from qtrinom.trinomials import (
     InvalidParameters,
@@ -85,6 +87,24 @@ def test_truncated_outputs_are_ordinary():
             for b in range(1, a):
                 for n in (1, 2, 3, 5):
                     assert truncated_q_trinomial(kind, a, b, n).min_exponent >= 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(ALL_KINDS),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 7),
+    st.integers(1, 3),
+)
+def test_reduced_truncated_sum_is_the_remainder(kind, b, gap, n, power):
+    # the fast path against its oracle: building the sum modulo (q^n - 1)^k
+    # gives the Euclidean remainder of the fully expanded sum
+    a = b + gap
+    m = (monomial(n) - ONE) ** power
+    reduced = truncated_q_trinomial(kind, a, b, n, reduce_by=m)
+    assert reduced == rem_monic(truncated_q_trinomial(kind, a, b, n), m)
+    assert reduced.degree < m.degree
 
 
 def test_widened_window_recovers_untruncated():
