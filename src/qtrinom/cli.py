@@ -32,7 +32,7 @@ from .congruence import (
 )
 from .cyclotomic import cyclotomic, cyclotomic_power
 from .polyring import from_text, to_text
-from .qcombinatorics import _env_cache_limit, q_binomial_base
+from .qcombinatorics import q_binomial_base
 from .trinomials import (
     InvalidParameters,
     NotPrime,
@@ -259,7 +259,10 @@ def run_verify(cfg: RunConfig, stream: IO[str] | None = None, err: IO[str] | Non
     close_stream = False
     if stream is None:
         if cfg.out:
-            stream = open(cfg.out, "w")
+            try:
+                stream = open(cfg.out, "w")
+            except OSError as exc:
+                raise UsageError(f"cannot write --out {cfg.out}: {exc.strerror}") from None
             close_stream = True
         else:
             stream = sys.stdout
@@ -362,10 +365,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # the memo cap is read when qcombinatorics is imported, where a bad
-        # value cannot be reported; read it again here to reject it
-        _env_cache_limit()
         if args.command == "verify":
+            if args.jobs < 1:
+                raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
             targets: list[str] = []
             for chunk in args.target:
                 targets.extend(t for t in chunk.split(",") if t)
@@ -377,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
                 p_list=parse_int_list(args.p, "--p") if args.p else None,
                 k_range=parse_int_list(args.k, "--k") if args.k else None,
                 format=args.format,
-                jobs=max(1, args.jobs),
+                jobs=args.jobs,
                 fail_fast=args.fail_fast,
                 out=args.out,
             )

@@ -1,50 +1,32 @@
 """q-integers, Gaussian binomial coefficients, and exact classical binomials.
 
-Gaussian binomials are computed by the q-Pascal recurrence
+Gaussian binomials are built by exact steps of the product formula, each a
+multiplication by 1 - q^up followed by an exact division by 1 - q^down:
 
-    [n m] = [n-1 m] + q^(n-m) [n-1 m-1]
+    along a row      [n j] = [n j-1]   (1 - q^(n-j+1)) / (1 - q^j)
+    down a diagonal  [n j] = [n-1 j-1] (1 - q^n)       / (1 - q^j)
+    down a column    [n j] = [n-1 j]   (1 - q^n)       / (1 - q^(n-j))
 
-with a process-wide memo table shared by every verification task.  The memo
-key is (n, min(m, n-m)) since [n m] and [n n-m] are the same polynomial.
-Out-of-range m yields the zero polynomial.
-
-QTRINOM_CACHE_LIMIT (environment) puts a soft cap on the number of cached
-entries; computation stays exact beyond the cap, new results simply stop
-being retained.  Negative values mean 0.  A value that is not an integer
-leaves the memo uncapped on import; the CLI rejects it as a usage error.
+Every step is kept in a process-wide memo shared by all verification tasks.
+A request walks from the cached entry the fewest steps away: the nearest
+one on its own row, starting from [n 0] = 1, or one on an earlier row when
+that is closer.  Nothing off that walk is computed, so [N M] never fills
+the diamond of rows below N.  The memo key is (n, min(m, n-m)) since [n m]
+and [n n-m] are the same polynomial.  Out-of-range m yields the zero
+polynomial.
 """
 from __future__ import annotations
 
 import math
-import os
+from itertools import accumulate
+from operator import sub
 
-from .polyring import ONE, ZERO, LaurentPoly, shift, substitute_power
-
-
-def _env_cache_limit() -> int | None:
-    raw = os.environ.get("QTRINOM_CACHE_LIMIT")
-    if not raw:
-        return None
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        raise ValueError(f"QTRINOM_CACHE_LIMIT must be an integer, got {raw!r}") from None
-
-
-try:
-    _CACHE_LIMIT = _env_cache_limit()
-except ValueError:
-    _CACHE_LIMIT = None
+from .polyring import ONE, ZERO, LaurentPoly, NonExactDivision, substitute_power
 
 # (n, m) -> [n m]_q, with m already canonicalized to min(m, n-m)
 _QBINOM: dict[tuple[int, int], LaurentPoly] = {}
 # (n, m, s) -> [n m]_{q^s} for s >= 2
 _QBINOM_BASE: dict[tuple[int, int, int], LaurentPoly] = {}
-
-
-def _put(table: dict, key, value) -> None:
-    if _CACHE_LIMIT is None or len(table) < _CACHE_LIMIT:
-        table[key] = value
 
 
 def q_integer(r: int) -> LaurentPoly:
@@ -54,50 +36,60 @@ def q_integer(r: int) -> LaurentPoly:
     return LaurentPoly(0, [1] * r)
 
 
+def _step(coeffs: tuple[int, ...], up: int, down: int) -> list[int]:
+    """Coefficients of p (1 - q^up) / (1 - q^down), p an ordinary polynomial
+    with the given coefficients; raises NonExactDivision unless exact."""
+    pad = [0] * up
+    num = list(map(sub, [*coeffs, *pad], [*pad, *coeffs]))
+    # f = g (1 - q^down) means g[i] = f[i] + g[i - down]: a running sum over
+    # each residue class mod down
+    quo = [0] * len(num)
+    for r in range(down):
+        quo[r::down] = accumulate(num[r::down])
+    cut = len(num) - down
+    if cut < 0 or any(quo[cut:]):
+        raise NonExactDivision(f"1 - q^{down} does not divide the step")
+    return quo[:cut]
+
+
+def _start(n: int, m: int) -> tuple[int, int]:
+    """The cached (n', j) fewest steps before [n m], m <= n - m: (n, j) on the
+    row is m - j steps away and (n - d, m - e), 0 <= e <= d, is d steps."""
+    j = m
+    while j and (n, j) not in _QBINOM:
+        j -= 1
+    for d in range(1, m - j):
+        for e in range(d + 1):
+            nn, jj = n - d, m - e
+            if jj <= nn and (nn, min(jj, nn - jj)) in _QBINOM:
+                return nn, jj
+    return n, j
+
+
 def q_binomial(n: int, m: int) -> LaurentPoly:
     """The Gaussian binomial [n m]_q; zero when m < 0 or m > n."""
     if m < 0 or m > n:
         return ZERO
     m = min(m, n - m)
-    key = (n, m)
-    hit = _QBINOM.get(key)
+    hit = _QBINOM.get((n, m)) if m else ONE
     if hit is not None:
         return hit
-    # iterative Pascal fill; a local overlay keeps the walk terminating even
-    # when the shared table is capped
-    local: dict[tuple[int, int], LaurentPoly] = {}
-
-    def get(k):
-        v = _QBINOM.get(k)
-        return local.get(k) if v is None else v
-
-    stack = [key]
-    while stack:
-        top = stack[-1]
-        if get(top) is not None:
-            stack.pop()
-            continue
-        nn, mm = top
-        if mm == 0:
-            local[top] = ONE
-            _put(_QBINOM, top, ONE)
-            stack.pop()
-            continue
-        ka = (nn - 1, min(mm, nn - 1 - mm))
-        kb = (nn - 1, mm - 1)
-        a = get(ka)
-        if a is None:
-            stack.append(ka)
-            continue
-        b = get(kb)
-        if b is None:
-            stack.append(kb)
-            continue
-        value = a + shift(b, nn - mm)
-        local[top] = value
-        _put(_QBINOM, top, value)
-        stack.pop()
-    return get(key)
+    nn, j = _start(n, m)
+    value = _QBINOM.get((nn, min(j, nn - j)), ONE)
+    while nn < n or j < m:
+        if nn < n and j < m:  # diagonal
+            nn += 1
+            j += 1
+            up, down = nn, j
+        elif nn < n:  # column
+            nn += 1
+            up, down = nn, nn - j
+        else:  # row
+            j += 1
+            up, down = n - j + 1, j
+        value = LaurentPoly(0, _step(value.coeffs, up, down))
+        _QBINOM[nn, min(j, nn - j)] = value
+    return value
 
 
 def q_binomial_base(n: int, m: int, s: int) -> LaurentPoly:
@@ -111,8 +103,7 @@ def q_binomial_base(n: int, m: int, s: int) -> LaurentPoly:
     key = (n, min(m, n - m), s)
     hit = _QBINOM_BASE.get(key)
     if hit is None:
-        hit = substitute_power(q_binomial(n, m), s)
-        _put(_QBINOM_BASE, key, hit)
+        hit = _QBINOM_BASE[key] = substitute_power(q_binomial(n, m), s)
     return hit
 
 

@@ -146,7 +146,7 @@ def test_criterion_6_oracle_equivalences():
         assert prod == monomial(n) - ONE, n
         assert cyclotomic(n).degree == sum(1 for j in range(1, n + 1) if math.gcd(j, n) == 1)
     print("PASS criterion 6: oracle equivalences (trinomial 3-way, q=1 collapse, "
-          "Pascal vs product, cyclotomic divisor product)")
+          "q-binomial vs product, cyclotomic divisor product)")
 
 
 def test_criterion_7_negative_control():

@@ -1,13 +1,12 @@
 """CLI contract: grammar, grid expansion, formats, determinism, exit codes."""
 
 import csv
+import errno
 import io
 import itertools
 import json
 import multiprocessing
 import os
-import subprocess
-import sys
 
 import pytest
 
@@ -366,6 +365,14 @@ def test_main_compute_rejects_base_zero(capsys):
     assert "base power must be positive" in capsys.readouterr().err
 
 
+def test_main_verify_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-4"):
+        assert main(["verify", "--target", "babbage", "--p", "3", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qtrinom: error: --jobs must be at least 1, got {jobs}\n"
+
+
 def test_main_compute_rejects_power_zero(capsys):
     assert main(["compute", "--object", "cyclotomic", "--n", "6", "--k", "0"]) == 2
     assert "power must be positive" in capsys.readouterr().err
@@ -421,7 +428,16 @@ def test_main_out_file(tmp_path, capsys):
     assert all(json.loads(l)["modulus"] is None for l in lines)
 
 
-# ---- internal faults and the environment ----
+def test_main_out_file_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "reports.json"
+    assert main(["verify", "--target", "babbage", "--p", "3", "--out", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qtrinom: error: cannot write --out {out_file}: {os.strerror(errno.ENOENT)}\n"
+    assert not out_file.parent.exists()
+
+
+# ---- internal faults ----
 
 
 @pytest.mark.parametrize(
@@ -459,18 +475,3 @@ def test_main_verify_hypothesis_failure_in_task_stays_exit_2(monkeypatch, capsys
     monkeypatch.setattr(cli_module, "run_task", rejects)
     assert main(["verify", "--target", "babbage", "--p", "3"]) == 2
     assert capsys.readouterr().err == "qtrinom: error: requires a > b >= 1\n"
-
-
-def test_cache_limit_not_an_integer_is_a_usage_error():
-    # the variable is read when the package is imported, so only a fresh
-    # process shows what a user sees
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    env = dict(os.environ, QTRINOM_CACHE_LIMIT="abc",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qtrinom.cli", "verify", "--target", "babbage", "--p", "3"],
-        env=env, capture_output=True, text=True,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == "qtrinom: error: QTRINOM_CACHE_LIMIT must be an integer, got 'abc'\n"

@@ -1,24 +1,16 @@
-"""Gaussian binomials: Pascal path against the product-formula oracle."""
+"""Gaussian binomials: the product-formula walk against the q-Pascal and
+product-formula oracles."""
 
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import q_binomial_pascal, q_binomial_product
 from qtrinom import qcombinatorics
-from qtrinom.polyring import ONE, ZERO, eval_at_one, exact_div, make_poly, monomial
+from qtrinom.polyring import ONE, ZERO, eval_at_one, make_poly
 from qtrinom.qcombinatorics import binomial, q_binomial, q_binomial_base, q_integer
-
-
-def q_binomial_product(n, m):
-    """Independent oracle: [n m] = prod (1-q^(n-i)) / prod (1-q^(i+1))."""
-    if m < 0 or m > n:
-        return ZERO
-    num = ONE
-    den = ONE
-    for i in range(m):
-        num = num * (ONE - monomial(n - i))
-        den = den * (ONE - monomial(i + 1))
-    return exact_div(num, den)
 
 
 def test_q_integer_examples():
@@ -80,34 +72,41 @@ def test_degree_palindromic_nonnegative():
 
 
 def test_pascal_agrees_with_product_formula():
-    # the two computation routes stay independent: recurrence vs exact_div
-    for n in range(21):
+    # three independent routes: the walk, q-Pascal recurrence, one exact_div
+    for n in range(31):
         for m in range(n + 1):
-            assert q_binomial(n, m) == q_binomial_product(n, m), (n, m)
+            expected = q_binomial_product(n, m)
+            assert q_binomial_pascal(n, m) == expected, (n, m)
+            assert q_binomial(n, m) == expected, (n, m)
 
 
-def test_cache_limit_soft_cap(monkeypatch):
-    monkeypatch.setattr(qcombinatorics, "_CACHE_LIMIT", 0)
+# requests cluster on a few rows, so later ones resume from part-filled rows
+# and from nearby earlier rows
+_REQUESTS = st.lists(
+    st.tuples(st.integers(36, 40) | st.integers(0, 40), st.integers(-1, 41)), min_size=1, max_size=20
+)
+
+
+@given(_REQUESTS)
+def test_walk_resumes_exactly(requests):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qcombinatorics, "_QBINOM", {})
+        for n, m in requests:
+            assert q_binomial(n, m) == q_binomial_pascal(n, m), (n, m)
+        assert all(0 < j <= n - j for n, j in qcombinatorics._QBINOM)
+
+
+def test_walk_stores_only_its_own_steps(monkeypatch):
     monkeypatch.setattr(qcombinatorics, "_QBINOM", {})
-    monkeypatch.setattr(qcombinatorics, "_QBINOM_BASE", {})
-    assert q_binomial(12, 5) == q_binomial_product(12, 5)
-    assert q_binomial_base(6, 3, 2) == q_binomial_base(6, 3, 2)
-    assert not qcombinatorics._QBINOM
-    assert not qcombinatorics._QBINOM_BASE
-
-
-def test_cache_limit_env_parsing(monkeypatch):
-    monkeypatch.delenv("QTRINOM_CACHE_LIMIT", raising=False)
-    assert qcombinatorics._env_cache_limit() is None
-    monkeypatch.setenv("QTRINOM_CACHE_LIMIT", "100")
-    assert qcombinatorics._env_cache_limit() == 100
-    monkeypatch.setenv("QTRINOM_CACHE_LIMIT", "")
-    assert qcombinatorics._env_cache_limit() is None
-    monkeypatch.setenv("QTRINOM_CACHE_LIMIT", "-5")
-    assert qcombinatorics._env_cache_limit() == 0
-    monkeypatch.setenv("QTRINOM_CACHE_LIMIT", "abc")
-    with pytest.raises(ValueError, match="QTRINOM_CACHE_LIMIT must be an integer"):
-        qcombinatorics._env_cache_limit()
+    assert q_binomial(20, 12) == q_binomial_pascal(20, 12)
+    row = {(20, j) for j in range(1, 9)}
+    assert set(qcombinatorics._QBINOM) == row
+    # two rows down: one diagonal step to [21 9], one column step to [22 9]
+    assert q_binomial(22, 9) == q_binomial_pascal(22, 9)
+    assert set(qcombinatorics._QBINOM) == row | {(21, 9), (22, 9)}
+    # one step along the row
+    assert q_binomial(22, 10) == q_binomial_pascal(22, 10)
+    assert set(qcombinatorics._QBINOM) == row | {(21, 9), (22, 9), (22, 10)}
 
 
 def test_concurrent_memo_access(monkeypatch):
