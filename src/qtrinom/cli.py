@@ -113,6 +113,8 @@ def expand_tasks(cfg: RunConfig) -> tuple[list[VerificationTask], list[str]]:
     deduplicated, deterministically sorted task list plus one warning line
     per skipped combination.
     """
+    if not cfg.targets:
+        raise UsageError("--target names no target")
     tasks: dict = {}
     warnings: list[str] = []
     for target in cfg.targets:

@@ -15,6 +15,9 @@ CPython's big-int multiplication.
 from __future__ import annotations
 
 import re
+from itertools import accumulate
+from math import comb
+from operator import add, mul
 from typing import Iterable, Sequence
 
 
@@ -342,6 +345,16 @@ def rem_monic(x: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
     Both operands must be ordinary polynomials (no negative exponents);
     Laurent callers clear denominators with shift() first, which is their
     responsibility because its soundness depends on the modulus.
+
+    When m is exactly (q^n - 1)^k and x has at least twice its degree, the
+    remainder is taken in closed form instead of by long division.  With
+    y = q^n, the terms of x whose exponent is r mod n form q^r P_r(y), and
+    modulo (y - 1)^k the polynomial P_r(y) = sum_j c_j y^j equals its Taylor
+    polynomial at y = 1, sum_{i<k} S_i (y - 1)^i with S_i = sum_j C(j, i) c_j.
+    Rewritten in powers of y and summed over r, this has degree < kn and
+    differs from x by a multiple of m, so it is the Euclidean remainder,
+    which is unique.  Shorter inputs and every other modulus use long
+    division.
     """
     if x.offset < 0 and x.coeffs:
         raise NegativeExponent("dividend has negative exponents")
@@ -352,6 +365,10 @@ def rem_monic(x: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
         raise NotMonic("modulus must be monic of degree >= 1")
     if x.degree < dm:
         return x
+    if x.degree >= 2 * dm:
+        nk = _power_of_qn_minus_one(m)
+        if nk is not None:
+            return _rem_taylor(x, *nk)
     buf = [0] * x.offset + list(x.coeffs)
     # skip the leading 1; reduce top-down against the nonzero lower terms
     lower = [(j + m.offset, c) for j, c in enumerate(m.coeffs[:-1]) if c]
@@ -363,6 +380,53 @@ def rem_monic(x: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
             for j, mc in lower:
                 buf[base + j] -= c * mc
     return LaurentPoly(0, buf[:dm])
+
+
+def _power_of_qn_minus_one(m: LaurentPoly) -> tuple[int, int] | None:
+    """(n, k) when the monic m is exactly (q^n - 1)^k, else None."""
+    c = m.coeffs
+    if m.offset:
+        return None
+    n = 1
+    while not c[n]:
+        n += 1
+    k, rest = divmod(len(c) - 1, n)
+    if rest:
+        return None
+    expected = [0] * len(c)
+    expected[::n] = [(-1) ** (k - i) * comb(k, i) for i in range(k + 1)]
+    return (n, k) if c == tuple(expected) else None
+
+
+def _rem_taylor(x: LaurentPoly, n: int, k: int) -> LaurentPoly:
+    """x mod (q^n - 1)^k by Taylor sums per residue class (see rem_monic)."""
+    coeffs, offset = x.coeffs, x.offset
+    # coeffs[i0::n] holds y^j0, y^(j0+1), ... of class (offset + i0) mod n,
+    # with j0 = (offset + i0) // n equal to base or base + 1
+    base = offset // n
+    rows = -(-len(coeffs) // n)
+    # weights[l][t] = C(base + t, l); each row is the running sums of the row
+    # before (hockey-stick identity)
+    weights = [[1] * (rows + 1)]
+    for i in range(1, k):
+        weights.append(list(accumulate(weights[-1][:rows], initial=comb(base, i))))
+    by_start = (weights, [w[1:] for w in weights])
+    taylor = [[0] * n for _ in range(k)]
+    for i0 in range(n):
+        col = coeffs[i0::n]
+        j0, r = divmod(offset + i0, n)
+        w = by_start[j0 - base]
+        taylor[0][r] = sum(col)
+        for i in range(1, k):
+            taylor[i][r] = sum(map(mul, w[i], col))
+    # sum_i S_i (y - 1)^i in powers of y: y^s takes (-1)^(i-s) C(i, s) S_i
+    out: list[int] = []
+    for s in range(k):
+        block = taylor[s]
+        for i in range(s + 1, k):
+            block = list(map(add, block, map(((-1) ** (i - s) * comb(i, s)).__mul__, taylor[i])))
+        out.extend(block)
+    return LaurentPoly(0, out)
 
 
 # ---- canonical text form ----

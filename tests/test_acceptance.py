@@ -5,8 +5,10 @@ output) to see them.  All checks are exact integer/polynomial assertions,
 so the tolerance everywhere is literally zero.
 """
 
+import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -195,6 +197,21 @@ GRIDS = {
 }
 
 
+# SHA-256 of the --jobs 1 JSON stream with elapsed_ms stripped: the
+# byte-identical gate on the answers, whatever the kernels do
+STREAM_SHA256 = {
+    "theorems": "4d00151020f896a8cd881f79add6cbac534bf68bb4d7d19ce90b7fd1e68cb0de",
+}
+_ELAPSED = re.compile(r', "elapsed_ms": -?\d+\}$')
+
+
+def _stream_sha256(stdout):
+    h = hashlib.sha256()
+    for line in stdout.splitlines():
+        h.update(_ELAPSED.sub("}", line).encode() + b"\n")
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("grid_name", list(GRIDS))
 def test_criterion_8_cli_round_trip_and_determinism(grid_name):
     flags = GRIDS[grid_name]
@@ -202,6 +219,8 @@ def test_criterion_8_cli_round_trip_and_determinism(grid_name):
     for jobs in (1, 8):
         proc = _run_cli(["verify", *flags, "--format", "json", "--jobs", str(jobs)])
         assert proc.returncode == 0, proc.stderr
+        if jobs == 1 and grid_name in STREAM_SHA256:
+            assert _stream_sha256(proc.stdout) == STREAM_SHA256[grid_name]
         reports = [report_from_json(line) for line in proc.stdout.strip().splitlines()]
         # round trip: re-serializing and re-parsing reproduces identical fields
         from qtrinom.cli import report_to_json

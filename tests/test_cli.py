@@ -373,6 +373,14 @@ def test_main_verify_rejects_jobs_below_one(capsys):
         assert captured.err == f"qtrinom: error: --jobs must be at least 1, got {jobs}\n"
 
 
+def test_main_verify_rejects_empty_target_list(capsys):
+    for argv in (["--target", ""], ["--target", ","], ["--target", "", "--target", ",,"]):
+        assert main(["verify", *argv, "--p", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qtrinom: error: --target names no target\n"
+
+
 def test_main_compute_rejects_power_zero(capsys):
     assert main(["compute", "--object", "cyclotomic", "--n", "6", "--k", "0"]) == 2
     assert "power must be positive" in capsys.readouterr().err

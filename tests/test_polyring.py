@@ -13,6 +13,7 @@ from qtrinom.polyring import (
     NotMonic,
     _mul_kronecker,
     _mul_schoolbook,
+    _power_of_qn_minus_one,
     eval_at_one,
     exact_div,
     from_text,
@@ -198,8 +199,45 @@ def test_eval_at_one_is_multiplicative(x, y):
     assert eval_at_one(x * y) == eval_at_one(x) * eval_at_one(y)
 
 
-@given(ordinary_polys, monic_polys)
-def test_division_round_trip(x, m):
+@st.composite
+def power_modulus_cases(draw):
+    """(x, m, selection): m is (q^n - 1)^k or a near miss, deg x >= 2kn.
+
+    selection is what _power_of_qn_minus_one must return for m: (n, k) picks
+    the Taylor-sum fold, None long division.  q^(kn) - 1 is itself
+    (q^(kn) - 1)^1, so it folds too.  The near misses must not fold.
+    """
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    power = (monomial(n) - ONE) ** k
+    cases = [
+        (power, (n, k)),
+        ((monomial(n) + ONE) ** k, None),
+        (monomial(k * n) - ONE, (k * n, 1)),
+        (shift(power, 1), None),
+    ]
+    if k * n > 1:  # below that, adding q breaks monicity
+        cases.append((power + monomial(1), None))
+    m, selection = draw(st.sampled_from(cases))
+    offset = draw(st.integers(0, 16) | st.integers(0, 10**4))
+    coeffs = draw(
+        st.lists(st.integers(-(2**200), 2**200), min_size=2 * k * n + 1, max_size=6 * k * n + 1)
+    )
+    coeffs[-1] = coeffs[-1] or 1
+    return LaurentPoly(offset, coeffs), m, selection
+
+
+ANY_PATH = object()
+division_cases = (
+    st.builds(lambda x, m: (x, m, ANY_PATH), ordinary_polys, monic_polys) | power_modulus_cases()
+)
+
+
+@given(division_cases)
+def test_division_round_trip(case):
+    # the round trip pins the unique Euclidean remainder whichever path ran
+    x, m, selection = case
+    if selection is not ANY_PATH:
+        assert _power_of_qn_minus_one(m) == selection
     r = rem_monic(x, m)
     assert r.degree < m.degree
     quotient = exact_div(x - r, m) if x != r else ZERO
