@@ -3,9 +3,13 @@
 The checker reduces lhs - rhs modulo an expanded Phi_n(q)^k.  Laurent
 differences are first cleared by the minimal power q^M, which is sound
 because the constant term of Phi_n is +-1, so q is a unit in the quotient
-ring; M is recorded in every report.  The lemma verifiers clear the
-denominators 1 - q^(n-k) (k up to floor(n/2)) the same way: each factor's
-roots are roots of unity of order < n, so the factor is coprime to Phi_n.
+ring; M is recorded in every report.  The summation lemmas have
+denominators 1 - q^(n-k), k up to floor(n/2).  Each term
+[n-k k] (1-q^n)/(1-q^(n-k)) is a polynomial, built by one exact two-term
+step (polyring._step) with no product.  Only the final D * S and
+correction * D clear the denominators, with D their product and S the
+signed, shifted sum of the terms.  That is sound for the same reason: each
+factor's roots are roots of unity of order < n, so it is coprime to Phi_n.
 
 Verification targets, each described once in TARGETS:
 
@@ -30,7 +34,9 @@ from .polyring import (
     ONE,
     ZERO,
     LaurentPoly,
-    exact_div,
+    _step,
+    _times_one_minus,
+    exact_div,  # noqa: F401  unused here; perfbench/traced_child.py patches congruence.exact_div
     monomial,
     rem_monic,
     shift,
@@ -189,25 +195,24 @@ def rhs_theorem(
 
 
 def _lemma_sides(n: int, weight_exp, correction: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    # the summation lemmas with denominators cleared: D is the product of the
-    # 1 - q^(n-k) factors, and each term k carries
-    # N_k = D * (1-q^n)/(1-q^(n-k)); the k=0 ratio (1-q^n)/(1-q^n) is taken
-    # as 1, which sidesteps the removable singularity at n=0.  The right-hand
-    # side is correction * D.
+    # the summation lemmas with denominators cleared.  Term k of the sum is
+    # L_k = [n-k k] (1-q^n)/(1-q^(n-k)), one exact step: L_k is a polynomial,
+    # so the step's NonExactDivision never fires on valid input.  L_0 is
+    # taken as 1, which sidesteps the removable singularity at n=0.  Only the
+    # final products clear the denominators: D is the product of the
+    # 1 - q^(n-k), the lhs is D * sum_k (-1)^k q^w(k) L_k and the rhs is
+    # correction * D.
     h = n // 2
-    d_poly = ONE
+    d_coeffs = [1]
     for j in range(1, h + 1):
-        d_poly = d_poly * (ONE - monomial(n - j))
+        d_coeffs = _times_one_minus(d_coeffs, n - j)
     total = ZERO
     for k in range(0, h + 1):
-        if k == 0:
-            nk = d_poly
-        else:
-            nk = exact_div(d_poly, ONE - monomial(n - k)) * (ONE - monomial(n))
+        term = LaurentPoly(0, _step(q_binomial(n - k, k).coeffs, n, n - k)) if k else ONE
         sign = -1 if k % 2 else 1
-        term = q_binomial(n - k, k) * nk
         total = total + shift(term, weight_exp(k)) * sign
-    return total, correction * d_poly
+    d_poly = LaurentPoly(0, d_coeffs)
+    return d_poly * total, correction * d_poly
 
 
 # ---- hypothesis checks, worded as the CLI prints them when skipping ----

@@ -2,8 +2,8 @@
 
 Phi_n(q) is computed by Moebius inversion over the factors q^d - 1 for
 divisors d of n, entirely in integer arithmetic; no roots of unity are ever
-represented.  Results are cached per process, and a Modulus bundles an
-expanded power Phi_n(q)^k with its (n, k) metadata.
+represented.  A Modulus bundles an expanded power Phi_n(q)^k with its
+(n, k) metadata.  Both Phi_n and each Modulus are cached per process.
 """
 from __future__ import annotations
 
@@ -13,6 +13,8 @@ from .polyring import ONE, LaurentPoly, exact_div, monomial
 
 # index n -> expanded Phi_n(q)
 _CACHE: dict[int, LaurentPoly] = {}
+# (n, k) -> Phi_n(q)^k, one Modulus per distinct modulus
+_POWERS: dict[tuple[int, int], Modulus] = {}
 
 
 def mobius(n: int) -> int:
@@ -72,4 +74,7 @@ def cyclotomic_power(n: int, k: int) -> Modulus:
     """Phi_n(q)^k as a Modulus; monic of degree k*phi(n)."""
     if k < 1:
         raise ValueError("modulus power must be positive")
-    return Modulus(n, k, cyclotomic(n) ** k)
+    hit = _POWERS.get((n, k))
+    if hit is None:
+        hit = _POWERS[n, k] = Modulus(n, k, cyclotomic(n) ** k)
+    return hit

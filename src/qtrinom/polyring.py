@@ -10,14 +10,15 @@ equality is semantic equality.
 Coefficients are plain Python ints; all arithmetic is exact at any
 magnitude.  Large products are computed by Kronecker substitution (packing
 the coefficient vector into one big integer), which hands the real work to
-CPython's big-int multiplication.
+CPython's big-int multiplication.  A two-term factor (1 - q^up)/(1 - q^down)
+needs no product: _step applies it in linear time.
 """
 from __future__ import annotations
 
 import re
 from itertools import accumulate
 from math import comb
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 
@@ -271,6 +272,31 @@ def _unpack(n: int, w: int, count: int) -> list[int]:
     if carry or any(raw[count * w :]):
         raise ArithmeticError("Kronecker digit bound exceeded")
     return out
+
+
+# ---- two-term factors (1 - q^up) / (1 - q^down) ----
+
+
+def _times_one_minus(coeffs: Sequence[int], up: int) -> list[int]:
+    """Coefficients of p (1 - q^up), p an ordinary polynomial with the given
+    coefficients."""
+    pad = [0] * up
+    return list(map(sub, [*coeffs, *pad], [*pad, *coeffs]))
+
+
+def _step(coeffs: Sequence[int], up: int, down: int) -> list[int]:
+    """Coefficients of p (1 - q^up) / (1 - q^down), p an ordinary polynomial
+    with the given coefficients; raises NonExactDivision unless exact."""
+    num = _times_one_minus(coeffs, up)
+    # f = g (1 - q^down) means g[i] = f[i] + g[i - down]: a running sum over
+    # each residue class mod down
+    quo = [0] * len(num)
+    for r in range(down):
+        quo[r::down] = accumulate(num[r::down])
+    cut = len(num) - down
+    if cut < 0 or any(quo[cut:]):
+        raise NonExactDivision(f"1 - q^{down} does not divide the step")
+    return quo[:cut]
 
 
 # ---- named operation surface ----

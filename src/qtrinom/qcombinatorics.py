@@ -1,7 +1,8 @@
 """q-integers, Gaussian binomial coefficients, and exact classical binomials.
 
 Gaussian binomials are built by exact steps of the product formula, each a
-multiplication by 1 - q^up followed by an exact division by 1 - q^down:
+multiplication by 1 - q^up followed by an exact division by 1 - q^down
+(polyring._step, the kernel for every such two-term factor):
 
     along a row      [n j] = [n j-1]   (1 - q^(n-j+1)) / (1 - q^j)
     down a diagonal  [n j] = [n-1 j-1] (1 - q^n)       / (1 - q^j)
@@ -18,10 +19,8 @@ polynomial.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
-from operator import sub
 
-from .polyring import ONE, ZERO, LaurentPoly, NonExactDivision, substitute_power
+from .polyring import ONE, ZERO, LaurentPoly, _step, substitute_power
 
 # (n, m) -> [n m]_q, with m already canonicalized to min(m, n-m)
 _QBINOM: dict[tuple[int, int], LaurentPoly] = {}
@@ -34,22 +33,6 @@ def q_integer(r: int) -> LaurentPoly:
     if r < 1:
         raise ValueError("q_integer is defined for positive integers")
     return LaurentPoly(0, [1] * r)
-
-
-def _step(coeffs: tuple[int, ...], up: int, down: int) -> list[int]:
-    """Coefficients of p (1 - q^up) / (1 - q^down), p an ordinary polynomial
-    with the given coefficients; raises NonExactDivision unless exact."""
-    pad = [0] * up
-    num = list(map(sub, [*coeffs, *pad], [*pad, *coeffs]))
-    # f = g (1 - q^down) means g[i] = f[i] + g[i - down]: a running sum over
-    # each residue class mod down
-    quo = [0] * len(num)
-    for r in range(down):
-        quo[r::down] = accumulate(num[r::down])
-    cut = len(num) - down
-    if cut < 0 or any(quo[cut:]):
-        raise NonExactDivision(f"1 - q^{down} does not divide the step")
-    return quo[:cut]
 
 
 def _start(n: int, m: int) -> tuple[int, int]:

@@ -1,6 +1,7 @@
 """Independent slow routes used only as test oracles: two for the classical
-trinomial coefficient (trinomials.classical_trinomial) and two for the
-Gaussian binomial (qcombinatorics.q_binomial)."""
+trinomial coefficient (trinomials.classical_trinomial), two for the
+Gaussian binomial (qcombinatorics.q_binomial) and one for the cleared sides
+of the summation lemmas (congruence._lemma_sides)."""
 
 from functools import cache
 
@@ -44,3 +45,22 @@ def q_binomial_product(n: int, m: int) -> LaurentPoly:
         num = num * (ONE - monomial(n - i))
         den = den * (ONE - monomial(i + 1))
     return exact_div(num, den)
+
+
+def lemma_sides_cleared(n: int, weight_exp, correction: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """The summation lemmas times D = prod_{j=1..n//2} (1 - q^(n-j)), built
+    term by term: term k is [n-k k] * D (1-q^n)/(1-q^(n-k)) (D alone at
+    k = 0), each a full product; returns (lhs, correction * D)."""
+    h = n // 2
+    d_poly = ONE
+    for j in range(1, h + 1):
+        d_poly = d_poly * (ONE - monomial(n - j))
+    total = ZERO
+    for k in range(0, h + 1):
+        if k == 0:
+            nk = d_poly
+        else:
+            nk = exact_div(d_poly, ONE - monomial(n - k)) * (ONE - monomial(n))
+        term = q_binomial_product(n - k, k) * nk
+        total = total + shift(term, weight_exp(k)) * (-1 if k % 2 else 1)
+    return total, correction * d_poly

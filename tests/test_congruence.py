@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import lemma_sides_cleared
+
 import qtrinom.congruence as congruence_module
 from qtrinom.congruence import (
     EXACT,
@@ -30,7 +32,8 @@ from qtrinom.congruence import (
     verify_theorem,
 )
 from qtrinom.cyclotomic import cyclotomic, cyclotomic_power
-from qtrinom.polyring import ONE, ZERO, LaurentPoly, make_poly, monomial, rem_monic
+from qtrinom.polyring import ONE, ZERO, LaurentPoly, _step, make_poly, monomial, rem_monic, substitute_power
+from qtrinom.qcombinatorics import q_binomial
 from qtrinom.trinomials import InvalidParameters, NotPrime, TrinomialKind, truncated_q_trinomial
 
 ALL_KINDS = list(TrinomialKind)
@@ -326,6 +329,42 @@ def test_verify_lemma_errors():
         verify_lemma("lemma-theta-inv", 0)
     with pytest.raises(InvalidParameters):
         verify_lemma("lemma-nope", 3)
+
+
+# the four summation lemmas as the paper states them: weight exponent w(k)
+# of term k and the correction at n
+LEMMA_SUMS = {
+    "lemma-theta": (lambda k: k * (k - 1) // 2, theta),
+    "lemma-vartheta": (lambda k: k * (k - 3) // 2, vartheta),
+    "lemma-theta-inv": (lambda k: k * (3 * k - 1) // 2, lambda n: substitute_power(theta(n), -1)),
+    "lemma-upsilon-inv": (lambda k: k * (3 * k + 1) // 2, lambda n: substitute_power(vartheta(n), -1)),
+}
+
+
+@given(st.sampled_from(sorted(LEMMA_SUMS)), st.integers(0, 30))
+def test_lemma_sides_match_term_by_term_oracle(name, n):
+    weight_exp, correction = LEMMA_SUMS[name]
+    assert TARGETS[name].sides(n) == lemma_sides_cleared(n, weight_exp, correction(n))
+
+
+def test_lemma_terms_are_exact_steps():
+    # [n-k k] (1-q^n)/(1-q^(n-k)) is a polynomial, so the step's
+    # NonExactDivision guard never fires on valid input
+    for n in range(2, 81):
+        for k in range(1, n // 2 + 1):
+            _step(q_binomial(n - k, k).coeffs, n, n - k)
+
+
+@pytest.mark.parametrize("name", ["lemma-theta", "lemma-theta-inv"])
+def test_lemma_negative_control_wrong_correction(name):
+    # theta(n+1) in place of theta(n) must fail through the lemma verifier
+    weight_exp, correction = LEMMA_SUMS[name]
+    wrong = TARGETS[name]._replace(
+        sides=lambda n: congruence_module._lemma_sides(n, weight_exp, correction(n + 1))
+    )
+    for n in range(1, 31):
+        report = congruence_module._run(wrong, {"n": n})
+        assert not report.holds and not report.residual.is_zero(), (name, n)
 
 
 # ---- intro congruences ----

@@ -45,6 +45,12 @@ def test_cyclotomic_power_examples():
         cyclotomic_power(5, 0)
 
 
+def test_cyclotomic_power_is_cached():
+    m = cyclotomic_power(7, 2)
+    assert cyclotomic_power(7, 2) is m
+    assert cyclotomic_power(7, 3) is not m
+
+
 def test_divisor_product_recovers_qn_minus_1():
     for n in range(1, 61):
         prod = ONE
