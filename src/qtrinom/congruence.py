@@ -44,11 +44,16 @@ from .polyring import (
 )
 from .qcombinatorics import binomial, q_binomial, q_binomial_base
 from .trinomials import (
+    FAMILIES,
     InvalidParameters,
     TrinomialKind,
+    _half,
     require_odd_prime,
+    require_theorem_params,
+    theta,
     truncated_classical,
     truncated_q_trinomial,
+    vartheta,
 )
 
 log = logging.getLogger(__name__)
@@ -91,49 +96,6 @@ class CongruenceOutcome(NamedTuple):
     cleared_shift: int
 
 
-def _half(x: int) -> int:
-    # every halved exponent in the formulas is provably even; a failure here
-    # is an implementation bug, not bad input
-    q, r = divmod(x, 2)
-    if r:
-        raise ArithmeticError(f"exponent {x} is not even")
-    return q
-
-
-def theta(n: int) -> LaurentPoly:
-    """The one- or two-term correction monomial for the base-q congruences."""
-    if n < 0:
-        raise ValueError("theta is defined for nonnegative integers")
-    if n == 0:
-        # regularized so the k=0-only summation identity holds at n=0; the
-        # 3m branch below would give 2 here and break it
-        return ONE
-    m, r = divmod(n, 3)
-    sign = -1 if m % 2 else 1
-    if r == 0:
-        e = _half(m * (3 * m - 1))
-        return LaurentPoly(e, [sign] + [0] * (m - 1) + [sign])
-    if r == 1:
-        return monomial(_half(m * (3 * m + 1)), sign)
-    return monomial(_half((m + 1) * (3 * m + 2)), -sign)
-
-
-def vartheta(n: int) -> LaurentPoly:
-    """Companion correction monomial; Laurent for n = 2 mod 3 at small n."""
-    if n < 0:
-        raise ValueError("vartheta is defined for nonnegative integers")
-    if n == 0:
-        return ONE
-    m, r = divmod(n, 3)
-    sign = -1 if m % 2 else 1
-    if r == 0:
-        e = _half(m * (3 * m - 5))
-        return LaurentPoly(e, [sign] + [0] * (2 * m - 1) + [sign])
-    if r == 1:
-        return monomial(_half(m * (3 * m + 1)), sign)
-    return monomial(_half((m - 1) * (3 * m + 2)), -sign)
-
-
 def congruent(lhs: LaurentPoly, rhs: LaurentPoly, mod: Modulus) -> CongruenceOutcome:
     """Reduce lhs - rhs modulo mod.poly after clearing negative exponents."""
     diff = lhs - rhs
@@ -143,7 +105,7 @@ def congruent(lhs: LaurentPoly, rhs: LaurentPoly, mod: Modulus) -> CongruenceOut
     # the long division against a dense modulus into one against k+1 terms.
     # The final residual is unchanged (euclidean remainders are unique).
     if cleared.degree > mod.n * mod.k:
-        cleared = rem_monic(cleared, (monomial(mod.n) - ONE) ** mod.k)
+        cleared = rem_monic(cleared, mod.sparse)
     if cleared.degree >= mod.poly.degree:
         cleared = rem_monic(cleared, mod.poly)
     return CongruenceOutcome(cleared.is_zero(), cleared, cleared_shift)
@@ -152,46 +114,25 @@ def congruent(lhs: LaurentPoly, rhs: LaurentPoly, mod: Modulus) -> CongruenceOut
 def rhs_theorem(
     kind: TrinomialKind, a: int, b: int, n: int, correction: bool = True
 ) -> LaurentPoly:
-    """The congruence right-hand side for one q-trinomial family.
+    """The congruence right-hand side of one family, built from its FAMILIES
+    row as pre * [an bn]_(q^s) * brace (see trinomials.Family).
 
-    correction=False drops the theta/vartheta brace (sets it to 1); it is the
+    correction=False drops the brace (sets it to 1); it is the
     negative-control hook that the checker tests use to prove they can fail.
     """
-    if b < 1 or a <= b or n < 1:
-        raise InvalidParameters("need a > b >= 1 and n >= 1")
+    require_theorem_params(a, b, n)
+    family = FAMILIES[kind]
     an, bn = a * n, b * n
-    d = an - bn
-    sign = -1 if d % 2 else 1
-    if kind is TrinomialKind.round:
-        pre = ONE
-        binom = q_binomial(an, bn)
-        brace = ONE - (ONE - theta(n)) * (a - b)
-    elif kind is TrinomialKind.tau0:
-        if a * b != an:
-            # the two candidate prefactor exponents (ab-bn vs an-bn) disagree
-            # here; the verified reading is (an-bn)(an+bn+1)/2
-            log.info("tau0 prefactor exponents differ at a=%d b=%d n=%d; using (an-bn)", a, b, n)
-        pre = monomial(_half(d * (an + bn + 1)), sign)
-        binom = q_binomial(an, bn)
-        brace = ONE - (monomial(0, 2) - theta(n) - vartheta(n)) * (a - b)
-    else:
-        binom = q_binomial_base(an, bn, 2)
-        if kind is TrinomialKind.T0:
-            pre = monomial(0, sign)
-            corr = theta(n)
-        elif kind is TrinomialKind.T1:
-            pre = monomial(d, sign)
-            corr = vartheta(n)
-        elif kind is TrinomialKind.t0:
-            pre = monomial(d * d, sign)
-            corr = substitute_power(theta(n), -1)
-        else:
-            pre = monomial(d * (d - 1), sign)
-            corr = substitute_power(vartheta(n), -1)
-        brace = ONE - (ONE - corr) * (2 * (a - b))
+    if kind is TrinomialKind.tau0 and a * b != an:
+        # the two candidate prefactor exponents (ab-bn vs an-bn) disagree
+        # here; the verified reading is (an-bn)(an+bn+1)/2
+        log.info("tau0 prefactor exponents differ at a=%d b=%d n=%d; using (an-bn)", a, b, n)
+    k = family.anchor(an, bn)
+    pre = monomial(family.weight(an, bn, k), -1 if k % 2 else 1)
+    brace = ONE - sum((ONE - c(n) for c in family.corrections), ZERO) * (family.base * (a - b))
     if not correction:
         brace = ONE
-    return pre * binom * brace
+    return pre * q_binomial_base(an, bn, family.base) * brace
 
 
 def _lemma_sides(n: int, weight_exp, correction: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -223,11 +164,6 @@ def _hypothesis(holds: bool, reason: str) -> None:
         raise InvalidParameters(reason)
 
 
-def _check_theorem(a: int, b: int, n: int) -> None:
-    _hypothesis(a > b >= 1, "requires a > b >= 1")
-    _hypothesis(n >= 1, "requires n >= 1")
-
-
 def _check_corollary(a: int, b: int, p: int) -> None:
     _hypothesis(a > b >= 1, "requires a > b >= 1")
     require_odd_prime(p)
@@ -253,7 +189,7 @@ def _theorem_sides(kind: TrinomialKind):
     # residual is unchanged, and the lhs is ordinary either way, so the rhs
     # alone fixes cleared_shift
     def sides(a: int, b: int, n: int):
-        lhs = truncated_q_trinomial(kind, a, b, n, reduce_by=(monomial(n) - ONE) ** THEOREM_POWER)
+        lhs = truncated_q_trinomial(kind, a, b, n, reduce_by=cyclotomic_power(n, THEOREM_POWER).sparse)
         return lhs, rhs_theorem(kind, a, b, n)
 
     return sides
@@ -309,7 +245,7 @@ TARGET_BY_KIND = {
 }
 
 TARGETS: dict[str, TargetSpec] = {spec.name: spec for spec in (
-    *(TargetSpec(name, ("a", "b", "n"), _check_theorem, _theorem_sides(kind), PHI, "n",
+    *(TargetSpec(name, ("a", "b", "n"), require_theorem_params, _theorem_sides(kind), PHI, "n",
                  THEOREM_POWER)
       for kind, name in TARGET_BY_KIND.items()),
     TargetSpec("cor-plain", ("a", "b", "p"), _check_corollary,

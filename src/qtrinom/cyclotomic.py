@@ -3,11 +3,13 @@
 Phi_n(q) is computed by Moebius inversion over the factors q^d - 1 for
 divisors d of n, entirely in integer arithmetic; no roots of unity are ever
 represented.  A Modulus bundles an expanded power Phi_n(q)^k with its
-(n, k) metadata.  Both Phi_n and each Modulus are cached per process.
+(n, k) metadata and, built on first use, its sparse multiple (q^n - 1)^k.
+Both Phi_n and each Modulus are cached per process.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .polyring import ONE, LaurentPoly, exact_div, monomial
 
@@ -68,6 +70,11 @@ class Modulus:
     n: int
     k: int
     poly: LaurentPoly = field(compare=False)
+
+    @cached_property
+    def sparse(self) -> LaurentPoly:
+        """(q^n - 1)^k, the sparse multiple of poly that reductions fold by first."""
+        return (monomial(self.n) - ONE) ** self.k
 
 
 def cyclotomic_power(n: int, k: int) -> Modulus:

@@ -106,25 +106,12 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not self.coeffs:
-            return other
-        if not other.coeffs:
-            return self
-        lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
-        out = [0] * (hi - lo)
-        base = self.offset - lo
-        for i, c in enumerate(self.coeffs):
-            out[base + i] = c
-        base = other.offset - lo
-        for i, c in enumerate(other.coeffs):
-            out[base + i] += c
-        return LaurentPoly(lo, out)
+        return _combine(self, other, add)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, sub)
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
@@ -169,6 +156,21 @@ def _rebuild(offset, coeffs):
     object.__setattr__(p, "offset", offset)
     object.__setattr__(p, "coeffs", coeffs)
     return p
+
+
+def _combine(x: LaurentPoly, y: LaurentPoly, op) -> LaurentPoly:
+    # x + y or x - y: x copied in by slice assignment, y applied by one map
+    if not y.coeffs:
+        return x
+    if not x.coeffs:
+        return y if op is add else -y
+    lo = min(x.offset, y.offset)
+    out = [0] * (max(x.offset + len(x.coeffs), y.offset + len(y.coeffs)) - lo)
+    i = x.offset - lo
+    out[i : i + len(x.coeffs)] = x.coeffs
+    i = y.offset - lo
+    out[i : i + len(y.coeffs)] = map(op, out[i : i + len(y.coeffs)], y.coeffs)
+    return LaurentPoly(lo, out)
 
 
 ZERO = LaurentPoly(0, ())

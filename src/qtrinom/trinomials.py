@@ -2,28 +2,23 @@
 
 The classical coefficient ((n, m)) is the coefficient of x^(m+n) in
 (1 + x + x^2)^n.  The six q-analogue families (round, tau0, T0, T1, t0, t1)
-are all sums of weight * first-binomial * second-binomial over k; they share
-one summation driver here and differ only in the weight exponent, the base
-(q or q^2) of the first binomial, and which second binomial they use:
+are sums over k of +-q^w(n, m, k) [n k]_(q^s) times a second binomial, and
+each is described once, by its Family row in FAMILIES: the base s, the
+weight w, whether it is reflected, and the corrections in its congruence.
 
-    round    q^(k(k+m))        [n k]       [n-k  m+k]
-    tau0     (-1)^k q^(nk-C(k,2))  [n k]   [2n-2k  n-m-k]
-    T0       (-1)^k            [n k]_q2    [2n-2k  n-m-k]
-    T1       (-q)^k            [n k]_q2    [2n-2k  n-m-k]
-    t0       (-1)^k q^(k^2)    [n k]_q2    [2n-2k  n-m-k]
-    t1       (-1)^k q^(k(k-1)) [n k]_q2    [2n-2k  n-m-k]
-
-Truncated forms keep the same summands but restrict k to the window used by
-the congruence statements: k in [0, floor(n/2)] for round, and
-k in [an-bn-floor(n/2), an-bn] for the other five.  A truncated sum can be
-built modulo a monic polynomial instead of in full: every summand is then
-reduced as it is formed, so the sum never grows past the modulus degree.
+Truncated forms keep floor(n/2) + 1 summands, starting at the anchor k = 0
+for round and ending at the anchor k = an-bn for the reflected families.
+The congruence prefactor is the signed summand weight at the anchor, so one
+row fixes both sides.  A truncated sum can be built modulo a monic
+polynomial instead of in full: every summand is then reduced as it is
+formed, so the sum never grows past the modulus degree.
 """
 from __future__ import annotations
 
 from enum import Enum
+from typing import Callable, NamedTuple
 
-from .polyring import ZERO, LaurentPoly, rem_monic, shift
+from .polyring import ONE, ZERO, LaurentPoly, monomial, rem_monic, shift, substitute_power
 from .qcombinatorics import binomial, q_binomial, q_binomial_base
 
 
@@ -59,6 +54,57 @@ def require_odd_prime(p: int, minimum: int = 3) -> None:
         raise InvalidParameters(f"p must be >= {minimum}")
 
 
+def require_theorem_params(a: int, b: int, n: int) -> None:
+    """Raise InvalidParameters unless a > b >= 1 and n >= 1 (all six theorems)."""
+    if not a > b >= 1:
+        raise InvalidParameters("requires a > b >= 1")
+    if n < 1:
+        raise InvalidParameters("requires n >= 1")
+
+
+def _half(x: int) -> int:
+    # every halved exponent in the formulas is provably even; a failure here
+    # is an implementation bug, not bad input
+    q, r = divmod(x, 2)
+    if r:
+        raise ArithmeticError(f"exponent {x} is not even")
+    return q
+
+
+def theta(n: int) -> LaurentPoly:
+    """The one- or two-term correction monomial for the base-q congruences."""
+    if n < 0:
+        raise ValueError("theta is defined for nonnegative integers")
+    if n == 0:
+        # regularized so the k=0-only summation identity holds at n=0; the
+        # 3m branch below would give 2 here and break it
+        return ONE
+    m, r = divmod(n, 3)
+    sign = -1 if m % 2 else 1
+    if r == 0:
+        e = _half(m * (3 * m - 1))
+        return LaurentPoly(e, [sign] + [0] * (m - 1) + [sign])
+    if r == 1:
+        return monomial(_half(m * (3 * m + 1)), sign)
+    return monomial(_half((m + 1) * (3 * m + 2)), -sign)
+
+
+def vartheta(n: int) -> LaurentPoly:
+    """Companion correction monomial; Laurent for n = 2 mod 3 at small n."""
+    if n < 0:
+        raise ValueError("vartheta is defined for nonnegative integers")
+    if n == 0:
+        return ONE
+    m, r = divmod(n, 3)
+    sign = -1 if m % 2 else 1
+    if r == 0:
+        e = _half(m * (3 * m - 5))
+        return LaurentPoly(e, [sign] + [0] * (2 * m - 1) + [sign])
+    if r == 1:
+        return monomial(_half(m * (3 * m + 1)), sign)
+    return monomial(_half((m - 1) * (3 * m + 2)), -sign)
+
+
 class TrinomialKind(str, Enum):
     round = "round"
     tau0 = "tau0"
@@ -68,25 +114,36 @@ class TrinomialKind(str, Enum):
     t1 = "t1"
 
 
-# first-binomial base per kind (1 = q, 2 = q^2)
-_BASE = {
-    TrinomialKind.round: 1,
-    TrinomialKind.tau0: 1,
-    TrinomialKind.T0: 2,
-    TrinomialKind.T1: 2,
-    TrinomialKind.t0: 2,
-    TrinomialKind.t1: 2,
-}
+class Family(NamedTuple):
+    """One q-trinomial family, read by both sides of its congruence.
 
-# weight exponent per kind as a function of (n, m, k); all six weights carry
-# the sign (-1)^k except round, which has sign +1
-_WEIGHT_EXP = {
-    TrinomialKind.round: lambda n, m, k: k * (k + m),
-    TrinomialKind.tau0: lambda n, m, k: n * k - k * (k - 1) // 2,
-    TrinomialKind.T0: lambda n, m, k: 0,
-    TrinomialKind.T1: lambda n, m, k: k,
-    TrinomialKind.t0: lambda n, m, k: k * k,
-    TrinomialKind.t1: lambda n, m, k: k * (k - 1),
+    Term k is q^weight(n, m, k) [n k]_(q^base) [n-k m+k] for round; the
+    reflected families carry (-1)^k and use [2n-2k n-m-k].  The congruence
+    right-hand side is pre * [an bn]_(q^base) * brace, with pre the signed
+    term weight at the anchor, (-1)^anchor q^weight(an, bn, anchor), and
+    brace = 1 - base*(a-b) * sum_c (1 - c(n)) over the corrections c.
+    """
+
+    base: int
+    weight: Callable[[int, int, int], int]
+    reflected: bool
+    corrections: tuple[Callable[[int], LaurentPoly], ...]
+
+    def anchor(self, an: int, bn: int) -> int:
+        return an - bn if self.reflected else 0
+
+
+def _inverse(correction: Callable[[int], LaurentPoly]) -> Callable[[int], LaurentPoly]:
+    return lambda n: substitute_power(correction(n), -1)  # the q -> 1/q image
+
+
+FAMILIES = {
+    TrinomialKind.round: Family(1, lambda n, m, k: k * (k + m), False, (theta,)),
+    TrinomialKind.tau0: Family(1, lambda n, m, k: n * k - k * (k - 1) // 2, True, (theta, vartheta)),
+    TrinomialKind.T0: Family(2, lambda n, m, k: 0, True, (theta,)),
+    TrinomialKind.T1: Family(2, lambda n, m, k: k, True, (vartheta,)),
+    TrinomialKind.t0: Family(2, lambda n, m, k: k * k, True, (_inverse(theta),)),
+    TrinomialKind.t1: Family(2, lambda n, m, k: k * (k - 1), True, (_inverse(vartheta),)),
 }
 
 
@@ -96,31 +153,26 @@ def classical_trinomial(n: int, m: int) -> int:
 
 
 def _summand(
-    kind: TrinomialKind, n: int, m: int, k: int, reduce_by: LaurentPoly | None = None
+    family: Family, n: int, m: int, k: int, reduce_by: LaurentPoly | None = None
 ) -> LaurentPoly:
-    if kind is TrinomialKind.round:
-        second = q_binomial(n - k, m + k)
-    else:
-        second = q_binomial(2 * n - 2 * k, n - m - k)
+    second = q_binomial(2 * n - 2 * k, n - m - k) if family.reflected else q_binomial(n - k, m + k)
     if second.is_zero():
         return ZERO
     # every weight exponent is >= 0, so the weighted first factor stays an
     # ordinary polynomial that rem_monic accepts
-    first = shift(q_binomial_base(n, k, _BASE[kind]), _WEIGHT_EXP[kind](n, m, k))
+    first = shift(q_binomial_base(n, k, family.base), family.weight(n, m, k))
     if reduce_by is None:
         term = first * second
     else:
         term = rem_monic(rem_monic(first, reduce_by) * rem_monic(second, reduce_by), reduce_by)
-    if kind is not TrinomialKind.round and k % 2 == 1:
-        return -term
-    return term
+    return -term if family.reflected and k % 2 else term
 
 
 def q_trinomial(kind: TrinomialKind, n: int, m: int) -> LaurentPoly:
     """The full (untruncated) q-trinomial coefficient of the given family."""
     total = ZERO
     for k in range(n + 1):
-        total = total + _summand(kind, n, m, k)
+        total = total + _summand(FAMILIES[kind], n, m, k)
     return total
 
 
@@ -142,18 +194,15 @@ def truncated_q_trinomial(
     their product are reduced as they are built, so the products stay below
     twice the modulus degree and the running sum below it.
     """
-    if b < 1 or a <= b or n < 1:
-        raise InvalidParameters("need a > b >= 1 and n >= 1")
+    require_theorem_params(a, b, n)
     if span is None:
         span = n // 2
+    family = FAMILIES[kind]
     an, bn = a * n, b * n
-    if kind is TrinomialKind.round:
-        ks = range(0, span + 1)
-    else:
-        ks = range(an - bn - span, an - bn + 1)
+    start = family.anchor(an, bn) - (span if family.reflected else 0)
     total = ZERO
-    for k in ks:
-        total = total + _summand(kind, an, bn, k, reduce_by)
+    for k in range(start, start + span + 1):
+        total = total + _summand(family, an, bn, k, reduce_by)
     return total
 
 

@@ -1,12 +1,14 @@
 """Independent slow routes used only as test oracles: two for the classical
 trinomial coefficient (trinomials.classical_trinomial), two for the
-Gaussian binomial (qcombinatorics.q_binomial) and one for the cleared sides
-of the summation lemmas (congruence._lemma_sides)."""
+Gaussian binomial (qcombinatorics.q_binomial), one for the cleared sides
+of the summation lemmas (congruence._lemma_sides) and one for the theorem
+right-hand sides (congruence.rhs_theorem)."""
 
 from functools import cache
 
-from qtrinom.polyring import ONE, ZERO, LaurentPoly, exact_div, monomial, shift
-from qtrinom.qcombinatorics import binomial
+from qtrinom.polyring import ONE, ZERO, LaurentPoly, exact_div, monomial, shift, substitute_power
+from qtrinom.qcombinatorics import binomial, q_binomial, q_binomial_base
+from qtrinom.trinomials import TrinomialKind, _half, theta, vartheta
 
 
 def classical_trinomial_alt(n: int, m: int) -> int:
@@ -64,3 +66,37 @@ def lemma_sides_cleared(n: int, weight_exp, correction: LaurentPoly) -> tuple[La
         term = q_binomial_product(n - k, k) * nk
         total = total + shift(term, weight_exp(k)) * (-1 if k % 2 else 1)
     return total, correction * d_poly
+
+
+def rhs_theorem_by_kind(kind: TrinomialKind, a: int, b: int, n: int, correction: bool = True) -> LaurentPoly:
+    """The six theorem right-hand sides written out family by family, each
+    prefactor exponent and brace as the paper states it."""
+    an, bn = a * n, b * n
+    d = an - bn
+    sign = -1 if d % 2 else 1
+    if kind is TrinomialKind.round:
+        pre = ONE
+        binom = q_binomial(an, bn)
+        brace = ONE - (ONE - theta(n)) * (a - b)
+    elif kind is TrinomialKind.tau0:
+        pre = monomial(_half(d * (an + bn + 1)), sign)
+        binom = q_binomial(an, bn)
+        brace = ONE - (monomial(0, 2) - theta(n) - vartheta(n)) * (a - b)
+    else:
+        binom = q_binomial_base(an, bn, 2)
+        if kind is TrinomialKind.T0:
+            pre = monomial(0, sign)
+            corr = theta(n)
+        elif kind is TrinomialKind.T1:
+            pre = monomial(d, sign)
+            corr = vartheta(n)
+        elif kind is TrinomialKind.t0:
+            pre = monomial(d * d, sign)
+            corr = substitute_power(theta(n), -1)
+        else:
+            pre = monomial(d * (d - 1), sign)
+            corr = substitute_power(vartheta(n), -1)
+        brace = ONE - (ONE - corr) * (2 * (a - b))
+    if not correction:
+        brace = ONE
+    return pre * binom * brace

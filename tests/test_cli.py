@@ -356,8 +356,11 @@ def test_main_compute_usage_errors(capsys):
     capsys.readouterr()
     assert main(["compute", "--object", "qtrinomial", "--n", "2", "--m", "0"]) == 2  # no kind
     capsys.readouterr()
+    # the theorem hypothesis, worded as verify's skip warning words it
     assert main(["compute", "--object", "truncated", "--kind", "T0", "--a", "1", "--b", "1", "--n", "1"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "qtrinom: error: requires a > b >= 1\n"
+    assert main(["compute", "--object", "truncated", "--kind", "T0", "--a", "2", "--b", "1", "--n", "0"]) == 2
+    assert capsys.readouterr().err == "qtrinom: error: requires n >= 1\n"
 
 
 def test_main_compute_rejects_base_zero(capsys):

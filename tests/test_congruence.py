@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import lemma_sides_cleared
+from oracles import lemma_sides_cleared, rhs_theorem_by_kind
 
 import qtrinom.congruence as congruence_module
 from qtrinom.congruence import (
@@ -245,6 +245,19 @@ def test_negative_control_every_kind():
                     if not congruent(lhs, rhs, cyclotomic_power(n, 2)).holds:
                         failures += 1
         assert failures > 0, kind
+
+
+@given(
+    st.sampled_from(ALL_KINDS),
+    st.integers(2, 5).flatmap(lambda a: st.tuples(st.just(a), st.integers(1, a - 1))),
+    st.integers(1, 8),
+    st.booleans(),
+)
+def test_rhs_theorem_matches_family_by_family_oracle(kind, ab, n, correction):
+    # the one FAMILIES-driven formula against the six right-hand sides as
+    # the paper writes them
+    a, b = ab
+    assert rhs_theorem(kind, a, b, n, correction) == rhs_theorem_by_kind(kind, a, b, n, correction)
 
 
 def test_tau0_prefactor_discrepancy_is_logged(caplog):

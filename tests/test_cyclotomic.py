@@ -5,7 +5,7 @@ import math
 import pytest
 
 from qtrinom.cyclotomic import _CACHE, Modulus, cyclotomic, cyclotomic_power, mobius
-from qtrinom.polyring import ONE, eval_at_one, make_poly, monomial
+from qtrinom.polyring import ONE, eval_at_one, make_poly, monomial, rem_monic
 from qtrinom.qcombinatorics import q_integer
 
 
@@ -41,6 +41,10 @@ def test_cyclotomic_power_examples():
     m5 = cyclotomic_power(5, 2)
     assert m5.poly == make_poly(list(enumerate([1, 2, 3, 4, 5, 4, 3, 2, 1])))
     assert m5.poly.degree == 2 * totient(5)
+    # the sparse multiple (q^n - 1)^k that reductions fold by, built once
+    assert m5.sparse == (monomial(5) - ONE) ** 2
+    assert rem_monic(m5.sparse, m5.poly).is_zero()
+    assert m5.sparse is m5.sparse
     with pytest.raises(ValueError):
         cyclotomic_power(5, 0)
 

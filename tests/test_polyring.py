@@ -187,6 +187,8 @@ def test_ring_axioms(x, y, z):
     assert x + ZERO == x
     assert x * ONE == x
     assert x + (-x) == ZERO
+    assert x - y == x + (-y)
+    assert (x - y) + y == x
 
 
 @given(polys)
