@@ -48,6 +48,7 @@ from .trinomials import (
     InvalidParameters,
     TrinomialKind,
     _half,
+    require_corollary_params,
     require_odd_prime,
     require_theorem_params,
     theta,
@@ -164,11 +165,6 @@ def _hypothesis(holds: bool, reason: str) -> None:
         raise InvalidParameters(reason)
 
 
-def _check_corollary(a: int, b: int, p: int) -> None:
-    _hypothesis(a > b >= 1, "requires a > b >= 1")
-    require_odd_prime(p)
-
-
 def _check_ljunggren(a: int, b: int, p: int) -> None:
     require_odd_prime(p, 5)
     _hypothesis(a >= 0 and b >= 0, "requires a, b >= 0")
@@ -207,7 +203,7 @@ def _straub_q(a: int, b: int, n: int):
     if r:
         raise ArithmeticError(f"24 does not divide the scale at a={a} b={b} n={n}")
     lhs = q_binomial(a * n, b * n)
-    return lhs, substitute_power(q_binomial(a, b), n * n) + (ONE - monomial(n)) ** 2 * scale
+    return lhs, q_binomial_base(a, b, n * n) + (ONE - monomial(n)) ** 2 * scale
 
 
 # ---- the target registry ----
@@ -248,9 +244,9 @@ TARGETS: dict[str, TargetSpec] = {spec.name: spec for spec in (
     *(TargetSpec(name, ("a", "b", "n"), require_theorem_params, _theorem_sides(kind), PHI, "n",
                  THEOREM_POWER)
       for kind, name in TARGET_BY_KIND.items()),
-    TargetSpec("cor-plain", ("a", "b", "p"), _check_corollary,
+    TargetSpec("cor-plain", ("a", "b", "p"), require_corollary_params,
                lambda a, b, p: (truncated_classical("plain", a, b, p), binomial(a, b)), INT, "p", 2),
-    TargetSpec("cor-star", ("a", "b", "p"), _check_corollary,
+    TargetSpec("cor-star", ("a", "b", "p"), require_corollary_params,
                lambda a, b, p: (truncated_classical("star", a, b, p), (-1) ** (a * p - b * p) * binomial(a, b)),
                INT, "p", 2),
     TargetSpec("lemma-2.1", ("n", "k"), lambda n, k: _hypothesis(1 <= k <= n - 1, "requires 1 <= k <= n-1"),

@@ -319,16 +319,11 @@ def substitute_power(x: LaurentPoly, s: int) -> LaurentPoly:
         return ZERO
     if s == 1:
         return x
+    # the ends stay nonzero, so the spread-out coefficients are canonical
     coeffs = x.coeffs
-    step = abs(s)
-    out = [0] * ((len(coeffs) - 1) * step + 1)
-    if s > 0:
-        for i, c in enumerate(coeffs):
-            out[i * step] = c
-        return LaurentPoly(x.offset * s, out)
-    for i, c in enumerate(coeffs):
-        out[(len(coeffs) - 1 - i) * step] = c
-    return LaurentPoly((x.offset + len(coeffs) - 1) * s, out)
+    out = [0] * ((len(coeffs) - 1) * abs(s) + 1)
+    out[::s] = coeffs
+    return _rebuild((x.offset if s > 0 else x.offset + len(coeffs) - 1) * s, tuple(out))
 
 
 def eval_at_one(x: LaurentPoly) -> int:

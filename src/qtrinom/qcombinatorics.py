@@ -14,7 +14,8 @@ one on its own row, starting from [n 0] = 1, or one on an earlier row when
 that is closer.  Nothing off that walk is computed, so [N M] never fills
 the diamond of rows below N.  The memo key is (n, min(m, n-m)) since [n m]
 and [n n-m] are the same polynomial.  Out-of-range m yields the zero
-polynomial.
+polynomial.  A binomial in base q^s is not stored: it is substituted on
+demand, q -> q^s, from the one memo entry [n m]_q.
 """
 from __future__ import annotations
 
@@ -24,8 +25,6 @@ from .polyring import ONE, ZERO, LaurentPoly, _step, substitute_power
 
 # (n, m) -> [n m]_q, with m already canonicalized to min(m, n-m)
 _QBINOM: dict[tuple[int, int], LaurentPoly] = {}
-# (n, m, s) -> [n m]_{q^s} for s >= 2
-_QBINOM_BASE: dict[tuple[int, int, int], LaurentPoly] = {}
 
 
 def q_integer(r: int) -> LaurentPoly:
@@ -76,18 +75,11 @@ def q_binomial(n: int, m: int) -> LaurentPoly:
 
 
 def q_binomial_base(n: int, m: int, s: int) -> LaurentPoly:
-    """[n m] in base q^s, i.e. q_binomial(n, m) with q -> q^s."""
+    """[n m] in base q^s: the memoized q_binomial(n, m), substituted q -> q^s
+    on every call rather than stored a second time."""
     if s < 1:
         raise ValueError("binomial base power must be positive")
-    if s == 1:
-        return q_binomial(n, m)
-    if m < 0 or m > n:
-        return ZERO
-    key = (n, min(m, n - m), s)
-    hit = _QBINOM_BASE.get(key)
-    if hit is None:
-        hit = _QBINOM_BASE[key] = substitute_power(q_binomial(n, m), s)
-    return hit
+    return substitute_power(q_binomial(n, m), s)
 
 
 def binomial(n: int, m: int) -> int:

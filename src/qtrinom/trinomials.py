@@ -62,6 +62,13 @@ def require_theorem_params(a: int, b: int, n: int) -> None:
         raise InvalidParameters("requires n >= 1")
 
 
+def require_corollary_params(a: int, b: int, p: int) -> None:
+    """Raise InvalidParameters / NotPrime unless a > b >= 1 and p is an odd prime."""
+    if not a > b >= 1:
+        raise InvalidParameters("requires a > b >= 1")
+    require_odd_prime(p)
+
+
 def _half(x: int) -> int:
     # every halved exponent in the formulas is provably even; a failure here
     # is an implementation bug, not bad input
@@ -212,9 +219,7 @@ def truncated_classical(variant: str, a: int, b: int, p: int) -> int:
     plain: sum_{k=0}^{(p-1)/2} C(ap,k) C(ap-k, bp+k)
     star:  sum_{k=ap-bp-(p-1)/2}^{ap-bp} (-1)^k C(ap,k) C(2ap-2k, ap-bp-k)
     """
-    if b < 1 or a <= b:
-        raise InvalidParameters("need a > b >= 1")
-    require_odd_prime(p)
+    require_corollary_params(a, b, p)
     half = (p - 1) // 2
     ap, bp = a * p, b * p
     if variant == "plain":

@@ -201,6 +201,8 @@ GRIDS = {
 # byte-identical gate on the answers, whatever the kernels do
 STREAM_SHA256 = {
     "theorems": "4d00151020f896a8cd881f79add6cbac534bf68bb4d7d19ce90b7fd1e68cb0de",
+    "lemmas+intro": "cf64c57de078fb13c32142f527aa57c030f1426bec127c5778e56c6c0e2893df",
+    "corollaries": "b494892ba0778f561eaef173d0f689e1162b9851a177645d640cbed3735046ce",
 }
 _ELAPSED = re.compile(r', "elapsed_ms": -?\d+\}$')
 

@@ -34,7 +34,13 @@ from qtrinom.congruence import (
 from qtrinom.cyclotomic import cyclotomic, cyclotomic_power
 from qtrinom.polyring import ONE, ZERO, LaurentPoly, _step, make_poly, monomial, rem_monic, substitute_power
 from qtrinom.qcombinatorics import q_binomial
-from qtrinom.trinomials import InvalidParameters, NotPrime, TrinomialKind, truncated_q_trinomial
+from qtrinom.trinomials import (
+    InvalidParameters,
+    NotPrime,
+    TrinomialKind,
+    truncated_classical,
+    truncated_q_trinomial,
+)
 
 ALL_KINDS = list(TrinomialKind)
 
@@ -302,6 +308,14 @@ def test_verify_corollary_errors():
         verify_corollary("plain", 2, 1, 2)
     with pytest.raises(InvalidParameters):
         verify_corollary("sideways", 2, 1, 5)
+
+
+def test_corollary_hypothesis_has_one_wording():
+    with pytest.raises(InvalidParameters) as direct:
+        truncated_classical("plain", 1, 1, 5)
+    with pytest.raises(InvalidParameters) as target:
+        verify_corollary("plain", 1, 1, 5)
+    assert str(direct.value) == str(target.value) == "requires a > b >= 1"
 
 
 # ---- lemmas ----

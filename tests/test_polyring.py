@@ -196,6 +196,12 @@ def test_substitute_power_involution(x):
     assert substitute_power(substitute_power(x, -1), -1) == x
 
 
+@given(polys, st.sampled_from([s for s in range(-7, 8) if s]))
+def test_substitute_power_matches_term_oracle(x, s):
+    expected = make_poly((s * (x.offset + i), c) for i, c in enumerate(x.coeffs))
+    assert substitute_power(x, s) == expected
+
+
 @given(polys, polys)
 def test_eval_at_one_is_multiplicative(x, y):
     assert eval_at_one(x * y) == eval_at_one(x) * eval_at_one(y)

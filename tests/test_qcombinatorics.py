@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import q_binomial_pascal, q_binomial_product
 from qtrinom import qcombinatorics
-from qtrinom.polyring import ONE, ZERO, eval_at_one, make_poly
+from qtrinom.polyring import ONE, ZERO, eval_at_one, make_poly, substitute_power
 from qtrinom.qcombinatorics import binomial, q_binomial, q_binomial_base, q_integer
 
 
@@ -37,6 +37,10 @@ def test_q_binomial_base_examples():
     assert q_binomial_base(4, 2, 2) == make_poly([(0, 1), (2, 1), (4, 2), (6, 1), (8, 1)])
     assert q_binomial_base(3, 4, 2) == ZERO
     assert q_binomial_base(4, 2, 1) == q_binomial(4, 2)
+    assert q_binomial_base(3, 4, 3) == ZERO
+    assert q_binomial_base(3, -1, 3) == ZERO
+    for n, m, s in ((5, 2, 2), (7, 3, 3), (9, 9, 5), (12, 5, 2)):
+        assert q_binomial_base(n, m, s) == substitute_power(q_binomial(n, m), s)
     with pytest.raises(ValueError):
         q_binomial_base(4, 2, 0)
 
