@@ -6,8 +6,9 @@ one-off exact computations.
 
 Ranges are written lo..hi (inclusive) or as comma lists.  Reports stream in
 a deterministic order (target, then params) regardless of --jobs; exit code
-is 0 when every check holds, 1 when any fails, 2 on usage errors, and 3 when
-a task hits an internal fault (the reports before it are still emitted).
+is 0 when every check holds, 1 when any fails, 2 on usage errors, 3 when
+a task hits an internal fault (the reports before it are still emitted), and
+141 (128 + SIGPIPE) when the reader closes stdout early, as in `| head -1`.
 """
 from __future__ import annotations
 
@@ -390,6 +391,12 @@ def main(argv: list[str] | None = None) -> int:
     except TaskFailed as exc:
         print(f"qtrinom: internal error in {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull so the
+        # interpreter's final flush is silent, and exit as a shell reports a
+        # process killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UsageError, ValueError) as exc:
         # InvalidParameters and NotPrime are ValueErrors, as are compute's
         # argument errors; a task's other ValueErrors arrive as TaskFailed

@@ -16,7 +16,7 @@ needs no product: _step applies it in linear time.
 from __future__ import annotations
 
 import re
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb
 from operator import add, mul, sub
 from typing import Iterable, Sequence
@@ -218,10 +218,10 @@ def _mul_schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def _mul_kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    # Evaluate both polynomials at 2^(8w), multiply as integers, and read the
-    # product coefficients back out of the digits.  w is chosen so that every
-    # coefficient of the product fits strictly inside half a digit, which
-    # makes the signed (balanced) decoding unique.
+    # Evaluate both polynomials at B = 2^(8w), multiply as integers, and read
+    # the product coefficients back out of the digits.  w is chosen so that
+    # every input and product coefficient lies strictly inside (-B/2, B/2), so
+    # each shifted by B/2 is one unsigned digit: the offset-digit codec.
     amax = max(map(abs, a))
     bmax = max(map(abs, b))
     bits = amax.bit_length() + bmax.bit_length() + min(len(a), len(b)).bit_length() + 2
@@ -230,50 +230,27 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _unpack(n, w, len(a) + len(b) - 1)
 
 
+def _half_digits(w: int, count: int) -> int:
+    """(B/2) * sum_{i<count} B^i for B = 2^(8w): the digit B/2 in each place."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * count, "little")
+
+
 def _pack(coeffs: Sequence[int], w: int) -> int:
-    pos = bytearray(w * len(coeffs))
-    neg = None
-    for i, c in enumerate(coeffs):
-        if c > 0:
-            nb = (c.bit_length() + 7) // 8
-            pos[i * w : i * w + nb] = c.to_bytes(nb, "little")
-        elif c < 0:
-            if neg is None:
-                neg = bytearray(w * len(coeffs))
-            c = -c
-            nb = (c.bit_length() + 7) // 8
-            neg[i * w : i * w + nb] = c.to_bytes(nb, "little")
-    n = int.from_bytes(pos, "little")
-    if neg is not None:
-        n -= int.from_bytes(neg, "little")
-    return n
+    """sum_i coeffs[i] B^i: the digits coeffs[i] + B/2, less their offsets."""
+    half = 1 << (8 * w - 1)
+    digits = map(int.to_bytes, map(half.__add__, coeffs), repeat(w), repeat("little"))
+    return int.from_bytes(b"".join(digits), "little") - _half_digits(w, len(coeffs))
 
 
 def _unpack(n: int, w: int, count: int) -> list[int]:
-    out = [0] * count
-    if n == 0:
-        return out
-    sign = 1
-    if n < 0:
-        sign = -1
-        n = -n
-    raw = n.to_bytes(w * (count + 1), "little")
-    base = 1 << (8 * w)
-    half = base >> 1
-    carry = 0
-    for i in range(count):
-        v = int.from_bytes(raw[i * w : (i + 1) * w], "little") + carry
-        if v >= half:
-            v -= base
-            carry = 1
-        else:
-            carry = 0
-        if v:
-            out[i] = sign * v
-    # a correct digit bound leaves nothing past the last coefficient
-    if carry or any(raw[count * w :]):
+    """The count coefficients c_i in (-B/2, B/2) with n = sum_i c_i B^i."""
+    n += _half_digits(w, count)
+    # a correct digit bound leaves count unsigned digits, nothing past them
+    if n < 0 or n.bit_length() > 8 * w * count:
         raise ArithmeticError("Kronecker digit bound exceeded")
-    return out
+    raw = n.to_bytes(w * count, "little")
+    half = 1 << (8 * w - 1)
+    return [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * count, w)]
 
 
 # ---- two-term factors (1 - q^up) / (1 - q^down) ----

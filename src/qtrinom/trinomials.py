@@ -188,13 +188,9 @@ def truncated_q_trinomial(
     a: int,
     b: int,
     n: int,
-    span: int | None = None,
     reduce_by: LaurentPoly | None = None,
 ) -> LaurentPoly:
     """The truncated q-trinomial sum at (an, bn).
-
-    span overrides the floor(n/2) window width; it exists so tests can widen
-    the window until the sum matches the untruncated coefficient.
 
     reduce_by, a monic ordinary polynomial, returns the sum's Euclidean
     remainder modulo it instead of the full sum; each summand's factors and
@@ -202,13 +198,12 @@ def truncated_q_trinomial(
     twice the modulus degree and the running sum below it.
     """
     require_theorem_params(a, b, n)
-    if span is None:
-        span = n // 2
+    half = n // 2
     family = FAMILIES[kind]
     an, bn = a * n, b * n
-    start = family.anchor(an, bn) - (span if family.reflected else 0)
+    start = family.anchor(an, bn) - (half if family.reflected else 0)
     total = ZERO
-    for k in range(start, start + span + 1):
+    for k in range(start, start + half + 1):
         total = total + _summand(family, an, bn, k, reduce_by)
     return total
 

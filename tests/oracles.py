@@ -2,13 +2,14 @@
 trinomial coefficient (trinomials.classical_trinomial), two for the
 Gaussian binomial (qcombinatorics.q_binomial), one for the cleared sides
 of the summation lemmas (congruence._lemma_sides) and one for the theorem
-right-hand sides (congruence.rhs_theorem)."""
+right-hand sides (congruence.rhs_theorem); plus the truncated q-trinomial
+sum over a widened window (trinomials.truncated_q_trinomial)."""
 
 from functools import cache
 
 from qtrinom.polyring import ONE, ZERO, LaurentPoly, exact_div, monomial, shift, substitute_power
 from qtrinom.qcombinatorics import binomial, q_binomial, q_binomial_base
-from qtrinom.trinomials import TrinomialKind, _half, theta, vartheta
+from qtrinom.trinomials import FAMILIES, TrinomialKind, _half, _summand, theta, vartheta
 
 
 def classical_trinomial_alt(n: int, m: int) -> int:
@@ -28,6 +29,19 @@ def _pascal_row(n: int) -> tuple[LaurentPoly, ...]:
         return (ONE,)
     prev = _pascal_row(n - 1) + (ZERO,)
     return (ONE,) + tuple(prev[j] + shift(prev[j - 1], n - j) for j in range(1, n + 1))
+
+
+def widened_truncated_sum(kind: TrinomialKind, a: int, b: int, n: int, width: int) -> LaurentPoly:
+    """truncated_q_trinomial with its floor(n/2) window widened to width: the
+    summands at the anchor and the width indices after it (before it for the
+    reflected families)."""
+    family = FAMILIES[kind]
+    an, bn = a * n, b * n
+    start = family.anchor(an, bn) - (width if family.reflected else 0)
+    total = ZERO
+    for k in range(start, start + width + 1):
+        total = total + _summand(family, an, bn, k)
+    return total
 
 
 def q_binomial_pascal(n: int, m: int) -> LaurentPoly:

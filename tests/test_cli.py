@@ -7,6 +7,8 @@ import itertools
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -486,3 +488,19 @@ def test_main_verify_hypothesis_failure_in_task_stays_exit_2(monkeypatch, capsys
     monkeypatch.setattr(cli_module, "run_task", rejects)
     assert main(["verify", "--target", "babbage", "--p", "3"]) == 2
     assert capsys.readouterr().err == "qtrinom: error: requires a > b >= 1\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_closed_stdout_pipe_exits_141_without_traceback(jobs):
+    # `verify ... | head -1`: the reader leaves while the sweep is still
+    # writing, which is not a failed check (exit 1) but a SIGPIPE-style 141
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "qtrinom.cli", "verify", "--target", "theorem-a", "--n", "1..40",
+            "--a", "4", "--b", "1..3", "--format", "json", "--jobs", jobs]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert report_from_json(proc.stdout.readline()).holds
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err

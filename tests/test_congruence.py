@@ -471,8 +471,8 @@ def test_invariant_checks_survive_python_O():
             "from qtrinom.congruence import _half, _straub_q",
             "from qtrinom.polyring import _unpack",
             "from qtrinom.qcombinatorics import _step",
-            "for check in (lambda: _half(3), lambda: _unpack(1 << 16, 1, 2), lambda: _straub_q(2, 1, 2),",
-            "              lambda: _step((1,), 1, 2)):",
+            "for check in (lambda: _half(3), lambda: _unpack(1 << 16, 1, 2), lambda: _unpack(-(1 << 16), 1, 2),",
+            "              lambda: _straub_q(2, 1, 2), lambda: _step((1,), 1, 2)):",
             "    try:",
             "        check()",
             "    except ArithmeticError:",

@@ -13,7 +13,9 @@ from qtrinom.polyring import (
     NotMonic,
     _mul_kronecker,
     _mul_schoolbook,
+    _pack,
     _power_of_qn_minus_one,
+    _unpack,
     eval_at_one,
     exact_div,
     from_text,
@@ -313,3 +315,19 @@ def test_mul_kronecker_at_the_digit_bound(bits, length, signs):
         a = [top if signs == "positive" else -top] * length
     assert _mul_kronecker(a, a) == _mul_schoolbook(a, a)
     assert _mul_kronecker(a, [-c for c in a]) == _mul_schoolbook(a, [-c for c in a])
+
+
+@st.composite
+def digit_vectors(draw):
+    # w-byte digits and coefficients strictly inside (-B/2, B/2), B = 2^(8w),
+    # the extreme digits +-(B/2 - 1) drawn often
+    w = draw(st.integers(1, 4))
+    top = (1 << (8 * w - 1)) - 1
+    coeff = st.one_of(st.sampled_from([top, -top, 0]), st.integers(-top, top))
+    return w, draw(st.lists(coeff, min_size=1, max_size=40))
+
+
+@given(digit_vectors())
+def test_unpack_inverts_pack(wc):
+    w, c = wc
+    assert _unpack(_pack(c, w), w, len(c)) == list(c)

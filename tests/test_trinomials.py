@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import classical_trinomial_alt, classical_trinomial_expand
+from oracles import classical_trinomial_alt, classical_trinomial_expand, widened_truncated_sum
 from qtrinom.polyring import ONE, ZERO, eval_at_one, make_poly, monomial, rem_monic
 from qtrinom.qcombinatorics import q_binomial, q_binomial_base
 from qtrinom.trinomials import (
@@ -108,26 +108,27 @@ def test_reduced_truncated_sum_is_the_remainder(kind, b, gap, n, power):
 
 
 def test_widened_window_recovers_untruncated():
-    # spec hook: the span override; widened to the full support the
-    # truncated driver must reproduce the untruncated coefficient
+    # at width floor(n/2) the oracle is the truncated sum itself; widened to
+    # the full support it must reproduce the untruncated coefficient
     for kind in ALL_KINDS:
         for a in (2, 3, 4):
             for b in range(1, a):
                 for n in (1, 2, 3, 4):
-                    full = truncated_q_trinomial(kind, a, b, n, span=a * n)
+                    assert widened_truncated_sum(kind, a, b, n, n // 2) == truncated_q_trinomial(kind, a, b, n)
+                    full = widened_truncated_sum(kind, a, b, n, a * n)
                     assert full == q_trinomial(kind, a * n, b * n), (kind, a, b, n)
 
 
 def test_span_n_recovers_untruncated_at_small_gap():
-    # with span = n the window covers the whole support exactly when
+    # with width n the window covers the whole support exactly when
     # a - b = 1 (reflected kinds) or a - b <= 2 (round)
     for n in (1, 2, 3, 4, 5):
         for kind in REFLECTED_KINDS:
             for a in (2, 3, 4):
-                got = truncated_q_trinomial(kind, a, a - 1, n, span=n)
+                got = widened_truncated_sum(kind, a, a - 1, n, n)
                 assert got == q_trinomial(kind, a * n, (a - 1) * n), (kind, a, n)
         for a, b in ((2, 1), (3, 2), (4, 3), (3, 1), (4, 2)):
-            got = truncated_q_trinomial(TrinomialKind.round, a, b, n, span=n)
+            got = widened_truncated_sum(TrinomialKind.round, a, b, n, n)
             assert got == q_trinomial(TrinomialKind.round, a * n, b * n), (a, b, n)
 
 
