@@ -3,13 +3,10 @@
 The checker reduces lhs - rhs modulo an expanded Phi_n(q)^k.  Laurent
 differences are first cleared by the minimal power q^M, which is sound
 because the constant term of Phi_n is +-1, so q is a unit in the quotient
-ring; M is recorded in every report.  The summation lemmas have
-denominators 1 - q^(n-k), k up to floor(n/2).  Each term
-[n-k k] (1-q^n)/(1-q^(n-k)) is a polynomial, built by one exact two-term
-step (polyring._step) with no product.  Only the final D * S and
-correction * D clear the denominators, with D their product and S the
-signed, shifted sum of the terms.  That is sound for the same reason: each
-factor's roots are roots of unity of order < n, so it is coprime to Phi_n.
+ring; M is recorded in every report.  Each term
+[n-k k] (1-q^n)/(1-q^(n-k)) of the summation lemmas is a polynomial,
+built by one exact two-term step (polyring._step) with no product, so
+the lemmas are checked on their own sums.
 
 Verification targets, each described once in TARGETS:
 
@@ -35,7 +32,6 @@ from .polyring import (
     ZERO,
     LaurentPoly,
     _step,
-    _times_one_minus,
     exact_div,  # noqa: F401  unused here; perfbench/traced_child.py patches congruence.exact_div
     monomial,
     rem_monic,
@@ -105,22 +101,13 @@ def congruent(lhs: LaurentPoly, rhs: LaurentPoly, mod: Modulus) -> CongruenceOut
     # (q^n - 1)^k is a sparse multiple of Phi_n^k; folding by it first turns
     # the long division against a dense modulus into one against k+1 terms.
     # The final residual is unchanged (euclidean remainders are unique).
-    if cleared.degree > mod.n * mod.k:
-        cleared = rem_monic(cleared, mod.sparse)
-    if cleared.degree >= mod.poly.degree:
-        cleared = rem_monic(cleared, mod.poly)
+    cleared = rem_monic(rem_monic(cleared, mod.sparse), mod.poly)
     return CongruenceOutcome(cleared.is_zero(), cleared, cleared_shift)
 
 
-def rhs_theorem(
-    kind: TrinomialKind, a: int, b: int, n: int, correction: bool = True
-) -> LaurentPoly:
+def rhs_theorem(kind: TrinomialKind, a: int, b: int, n: int) -> LaurentPoly:
     """The congruence right-hand side of one family, built from its FAMILIES
-    row as pre * [an bn]_(q^s) * brace (see trinomials.Family).
-
-    correction=False drops the brace (sets it to 1); it is the
-    negative-control hook that the checker tests use to prove they can fail.
-    """
+    row as pre * [an bn]_(q^s) * brace (see trinomials.Family)."""
     require_theorem_params(a, b, n)
     family = FAMILIES[kind]
     an, bn = a * n, b * n
@@ -131,30 +118,20 @@ def rhs_theorem(
     k = family.anchor(an, bn)
     pre = monomial(family.weight(an, bn, k), -1 if k % 2 else 1)
     brace = ONE - sum((ONE - c(n) for c in family.corrections), ZERO) * (family.base * (a - b))
-    if not correction:
-        brace = ONE
     return pre * q_binomial_base(an, bn, family.base) * brace
 
 
 def _lemma_sides(n: int, weight_exp, correction: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    # the summation lemmas with denominators cleared.  Term k of the sum is
-    # L_k = [n-k k] (1-q^n)/(1-q^(n-k)), one exact step: L_k is a polynomial,
-    # so the step's NonExactDivision never fires on valid input.  L_0 is
-    # taken as 1, which sidesteps the removable singularity at n=0.  Only the
-    # final products clear the denominators: D is the product of the
-    # 1 - q^(n-k), the lhs is D * sum_k (-1)^k q^w(k) L_k and the rhs is
-    # correction * D.
-    h = n // 2
-    d_coeffs = [1]
-    for j in range(1, h + 1):
-        d_coeffs = _times_one_minus(d_coeffs, n - j)
+    # the summation lemmas as stated: (sum_k (-1)^k q^w(k) L_k, correction).
+    # Term k is L_k = [n-k k] (1-q^n)/(1-q^(n-k)), one exact step: L_k is a
+    # polynomial, so the step's NonExactDivision never fires on valid input.
+    # L_0 is taken as 1, which sidesteps the removable singularity at n=0.
     total = ZERO
-    for k in range(0, h + 1):
+    for k in range(0, n // 2 + 1):
         term = LaurentPoly(0, _step(q_binomial(n - k, k).coeffs, n, n - k)) if k else ONE
         sign = -1 if k % 2 else 1
         total = total + shift(term, weight_exp(k)) * sign
-    d_poly = LaurentPoly(0, d_coeffs)
-    return d_poly * total, correction * d_poly
+    return total, correction
 
 
 # ---- hypothesis checks, worded as the CLI prints them when skipping ----

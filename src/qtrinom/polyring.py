@@ -256,17 +256,11 @@ def _unpack(n: int, w: int, count: int) -> list[int]:
 # ---- two-term factors (1 - q^up) / (1 - q^down) ----
 
 
-def _times_one_minus(coeffs: Sequence[int], up: int) -> list[int]:
-    """Coefficients of p (1 - q^up), p an ordinary polynomial with the given
-    coefficients."""
-    pad = [0] * up
-    return list(map(sub, [*coeffs, *pad], [*pad, *coeffs]))
-
-
 def _step(coeffs: Sequence[int], up: int, down: int) -> list[int]:
     """Coefficients of p (1 - q^up) / (1 - q^down), p an ordinary polynomial
     with the given coefficients; raises NonExactDivision unless exact."""
-    num = _times_one_minus(coeffs, up)
+    pad = [0] * up
+    num = list(map(sub, [*coeffs, *pad], [*pad, *coeffs]))
     # f = g (1 - q^down) means g[i] = f[i] + g[i - down]: a running sum over
     # each residue class mod down
     quo = [0] * len(num)

@@ -1,9 +1,11 @@
 """Independent slow routes used only as test oracles: two for the classical
 trinomial coefficient (trinomials.classical_trinomial), two for the
-Gaussian binomial (qcombinatorics.q_binomial), one for the cleared sides
-of the summation lemmas (congruence._lemma_sides) and one for the theorem
+Gaussian binomial (qcombinatorics.q_binomial), one for the sides of the
+summation lemmas (congruence._lemma_sides) and one for the theorem
 right-hand sides (congruence.rhs_theorem); plus the truncated q-trinomial
-sum over a widened window (trinomials.truncated_q_trinomial)."""
+sum over a widened window (trinomials.truncated_q_trinomial), and the
+lemma sides times the product of their denominators, which must give the
+same verdicts as the sides themselves."""
 
 from functools import cache
 
@@ -63,28 +65,40 @@ def q_binomial_product(n: int, m: int) -> LaurentPoly:
     return exact_div(num, den)
 
 
-def lemma_sides_cleared(n: int, weight_exp, correction: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """The summation lemmas times D = prod_{j=1..n//2} (1 - q^(n-j)), built
-    term by term: term k is [n-k k] * D (1-q^n)/(1-q^(n-k)) (D alone at
-    k = 0), each a full product; returns (lhs, correction * D)."""
-    h = n // 2
-    d_poly = ONE
-    for j in range(1, h + 1):
-        d_poly = d_poly * (ONE - monomial(n - j))
+@cache
+def _lemma_sum(n: int, weight_exp) -> LaurentPoly:
     total = ZERO
-    for k in range(0, h + 1):
+    for k in range(0, n // 2 + 1):
         if k == 0:
-            nk = d_poly
+            term = ONE
         else:
-            nk = exact_div(d_poly, ONE - monomial(n - k)) * (ONE - monomial(n))
-        term = q_binomial_product(n - k, k) * nk
+            term = exact_div(q_binomial_product(n - k, k) * (ONE - monomial(n)), ONE - monomial(n - k))
         total = total + shift(term, weight_exp(k)) * (-1 if k % 2 else 1)
-    return total, correction * d_poly
+    return total
+
+
+def lemma_sides(n: int, weight_exp, correction: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """The summation lemmas built term by term: term k is
+    [n-k k] (1-q^n)/(1-q^(n-k)) (1 at k = 0), each a full product and one
+    exact_div; returns (signed, shifted sum, correction)."""
+    return _lemma_sum(n, weight_exp), correction
+
+
+def lemma_sides_cleared(n: int, weight_exp, correction: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """lemma_sides times D = prod_{j=1..n//2} (1 - q^(n-j)), the product of
+    the denominators: returns (D * sum, correction * D)."""
+    d_poly = ONE
+    for j in range(1, n // 2 + 1):
+        d_poly = d_poly * (ONE - monomial(n - j))
+    return d_poly * _lemma_sum(n, weight_exp), correction * d_poly
 
 
 def rhs_theorem_by_kind(kind: TrinomialKind, a: int, b: int, n: int, correction: bool = True) -> LaurentPoly:
     """The six theorem right-hand sides written out family by family, each
-    prefactor exponent and brace as the paper states it."""
+    prefactor exponent and brace as the paper states it.
+
+    correction=False drops the brace (sets it to 1): the corrupted rhs that
+    the negative controls use to prove the checker can fail."""
     an, bn = a * n, b * n
     d = an - bn
     sign = -1 if d % 2 else 1

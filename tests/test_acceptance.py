@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from oracles import classical_trinomial_alt, classical_trinomial_expand
+from oracles import classical_trinomial_alt, classical_trinomial_expand, rhs_theorem_by_kind
 from qtrinom.cli import report_from_json
 from qtrinom.congruence import (
     congruent,
@@ -153,7 +153,7 @@ def test_criterion_6_oracle_equivalences():
 
 def test_criterion_7_negative_control():
     lhs = truncated_q_trinomial(TrinomialKind.round, 2, 1, 2)
-    corrupted = rhs_theorem(TrinomialKind.round, 2, 1, 2, correction=False)
+    corrupted = rhs_theorem_by_kind(TrinomialKind.round, 2, 1, 2, correction=False)
     outcome = congruent(lhs, corrupted, cyclotomic_power(2, 2))
     assert not outcome.holds
     assert not outcome.residual.is_zero()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import lemma_sides_cleared, rhs_theorem_by_kind
+from oracles import lemma_sides, lemma_sides_cleared, rhs_theorem_by_kind
 
 import qtrinom.congruence as congruence_module
 from qtrinom.congruence import (
@@ -31,8 +31,8 @@ from qtrinom.congruence import (
     verify_lemma,
     verify_theorem,
 )
-from qtrinom.cyclotomic import cyclotomic, cyclotomic_power
-from qtrinom.polyring import ONE, ZERO, LaurentPoly, _step, make_poly, monomial, rem_monic, substitute_power
+from qtrinom.cyclotomic import cyclotomic_power
+from qtrinom.polyring import ONE, ZERO, LaurentPoly, _step, make_poly, monomial, rem_monic, shift, substitute_power
 from qtrinom.qcombinatorics import q_binomial
 from qtrinom.trinomials import (
     InvalidParameters,
@@ -138,15 +138,6 @@ def test_congruent_matches_single_stage_reduction(n, k, x, y):
     assert out.holds == direct.is_zero()
 
 
-def test_unit_clearing_witness():
-    # the lemma-clearing denominator must stay coprime to Phi_n
-    for n in range(1, 21):
-        d_poly = ONE
-        for j in range(1, n // 2 + 1):
-            d_poly = d_poly * (ONE - monomial(n - j))
-        assert not rem_monic(d_poly, cyclotomic(n)).is_zero(), n
-
-
 # ---- theorem right-hand sides ----
 
 
@@ -191,7 +182,7 @@ def test_verify_theorem_small_grid_all_kinds():
 def _direct_outcome(kind, a, b, n, correction=True):
     # the oracle: full expansion of the lhs, then one reduction
     lhs = truncated_q_trinomial(kind, a, b, n)
-    rhs = rhs_theorem(kind, a, b, n, correction=correction)
+    rhs = rhs_theorem(kind, a, b, n) if correction else rhs_theorem_by_kind(kind, a, b, n, correction=False)
     return congruent(lhs, rhs, cyclotomic_power(n, 2))
 
 
@@ -216,10 +207,9 @@ def test_verify_theorem_matches_direct_path():
 def test_negative_control_through_run_task(monkeypatch):
     # with the correction dropped the reduced path must still fail, and
     # with the residual the fully expanded path gives
-    original = congruence_module.rhs_theorem
     monkeypatch.setattr(
         congruence_module, "rhs_theorem",
-        lambda kind, a, b, n: original(kind, a, b, n, correction=False),
+        lambda kind, a, b, n: rhs_theorem_by_kind(kind, a, b, n, correction=False),
     )
     failed = set()
     for kind, a, b, n in _small_theorem_grid(4):
@@ -233,7 +223,7 @@ def test_negative_control_through_run_task(monkeypatch):
 
 def test_negative_control_round_spot():
     lhs = truncated_q_trinomial(TrinomialKind.round, 2, 1, 2)
-    corrupted = rhs_theorem(TrinomialKind.round, 2, 1, 2, correction=False)
+    corrupted = rhs_theorem_by_kind(TrinomialKind.round, 2, 1, 2, correction=False)
     out = congruent(lhs, corrupted, cyclotomic_power(2, 2))
     assert not out.holds
     assert not out.residual.is_zero()
@@ -247,7 +237,7 @@ def test_negative_control_every_kind():
             for a in (2, 3, 4):
                 for b in range(1, a):
                     lhs = truncated_q_trinomial(kind, a, b, n)
-                    rhs = rhs_theorem(kind, a, b, n, correction=False)
+                    rhs = rhs_theorem_by_kind(kind, a, b, n, correction=False)
                     if not congruent(lhs, rhs, cyclotomic_power(n, 2)).holds:
                         failures += 1
         assert failures > 0, kind
@@ -257,13 +247,12 @@ def test_negative_control_every_kind():
     st.sampled_from(ALL_KINDS),
     st.integers(2, 5).flatmap(lambda a: st.tuples(st.just(a), st.integers(1, a - 1))),
     st.integers(1, 8),
-    st.booleans(),
 )
-def test_rhs_theorem_matches_family_by_family_oracle(kind, ab, n, correction):
+def test_rhs_theorem_matches_family_by_family_oracle(kind, ab, n):
     # the one FAMILIES-driven formula against the six right-hand sides as
     # the paper writes them
     a, b = ab
-    assert rhs_theorem(kind, a, b, n, correction) == rhs_theorem_by_kind(kind, a, b, n, correction)
+    assert rhs_theorem(kind, a, b, n) == rhs_theorem_by_kind(kind, a, b, n)
 
 
 def test_tau0_prefactor_discrepancy_is_logged(caplog):
@@ -371,7 +360,26 @@ LEMMA_SUMS = {
 @given(st.sampled_from(sorted(LEMMA_SUMS)), st.integers(0, 30))
 def test_lemma_sides_match_term_by_term_oracle(name, n):
     weight_exp, correction = LEMMA_SUMS[name]
-    assert TARGETS[name].sides(n) == lemma_sides_cleared(n, weight_exp, correction(n))
+    assert TARGETS[name].sides(n) == lemma_sides(n, weight_exp, correction(n))
+
+
+def test_lemma_verdicts_match_denominator_cleared_sides():
+    # checking D * S against correction * D, D the product of the
+    # denominators 1 - q^(n-k), gives the same verdicts and shifts as
+    # checking S itself: D has constant term 1, and it is a unit modulo
+    # Phi_n^2 because its roots are roots of unity of order < n
+    verdicts = set()
+    for name, (weight_exp, correction) in LEMMA_SUMS.items():
+        spec = TARGETS[name]
+        for ahead in (0, 1, 2):  # the correction at n + ahead
+            cleared = spec._replace(sides=lambda n: lemma_sides_cleared(n, weight_exp, correction(n + ahead)))
+            plain = spec._replace(sides=lambda n: congruence_module._lemma_sides(n, weight_exp, correction(n + ahead)))
+            for n in range(0 if spec.modulus == EXACT else 1, 41):
+                want = congruence_module._run(cleared, {"n": n})
+                got = congruence_module._run(plain, {"n": n})
+                assert (got.holds, got.cleared_shift) == (want.holds, want.cleared_shift), (name, n, ahead)
+                verdicts.add(got.holds)
+    assert verdicts == {True, False}
 
 
 def test_lemma_terms_are_exact_steps():
@@ -392,6 +400,11 @@ def test_lemma_negative_control_wrong_correction(name):
     for n in range(1, 31):
         report = congruence_module._run(wrong, {"n": n})
         assert not report.holds and not report.residual.is_zero(), (name, n)
+        # the residual is that of the lemma as stated, S - wrong
+        diff = lemma_sides(n, weight_exp, correction(n))[0] - correction(n + 1)
+        if wrong.modulus == PHI:
+            diff = rem_monic(shift(diff, max(0, -diff.min_exponent)), cyclotomic_power(n, 2).poly)
+        assert report.residual == diff, (name, n)
 
 
 # ---- intro congruences ----
