@@ -26,23 +26,20 @@ from .trinomials import (
     classical_trinomial,
     is_prime,
     q_trinomial,
+    theta,
     truncated_classical,
     truncated_q_trinomial,
+    vartheta,
 )
 from .congruence import (
-    ALL_TARGETS,
+    TARGETS,
     CongruenceOutcome,
     CongruenceReport,
     VerificationTask,
     congruent,
     rhs_theorem,
     run_task,
-    theta,
-    vartheta,
-    verify_corollary,
-    verify_intro,
-    verify_lemma,
-    verify_theorem,
+    verify,
 )
 
 __version__ = "0.1.0"

@@ -6,9 +6,10 @@ one-off exact computations.
 
 Ranges are written lo..hi (inclusive) or as comma lists.  Reports stream in
 a deterministic order (target, then params) regardless of --jobs; exit code
-is 0 when every check holds, 1 when any fails, 2 on usage errors, 3 when
-a task hits an internal fault (the reports before it are still emitted), and
-141 (128 + SIGPIPE) when the reader closes stdout early, as in `| head -1`.
+is 0 when every check holds, 1 when any fails, 2 on usage errors and when
+the output cannot be written (a full device, say), 3 when a task hits an
+internal fault (the reports before it are still emitted), and 141
+(128 + SIGPIPE) when the reader closes stdout early, as in `| head -1`.
 """
 from __future__ import annotations
 
@@ -18,29 +19,21 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Iterable
 
-from .congruence import (
-    ALL_TARGETS,
-    INT,
-    TARGETS,
-    CongruenceReport,
-    VerificationTask,
-    run_task,
-    theta,
-    vartheta,
-)
+from .congruence import INT, TARGETS, CongruenceReport, VerificationTask, run_task
 from .cyclotomic import cyclotomic, cyclotomic_power
 from .polyring import from_text, to_text
 from .qcombinatorics import q_binomial_base
 from .trinomials import (
     InvalidParameters,
-    NotPrime,
     TrinomialKind,
     classical_trinomial,
     q_trinomial,
+    theta,
     truncated_q_trinomial,
+    vartheta,
 )
 
 _TEXT_RESIDUAL_DEGREE_CAP = 40
@@ -48,6 +41,10 @@ _TEXT_RESIDUAL_DEGREE_CAP = 40
 
 class UsageError(Exception):
     pass
+
+
+class WriteFailed(Exception):
+    """The output stream refused a write, flush or close, as a full device does."""
 
 
 class TaskFailed(Exception):
@@ -62,11 +59,8 @@ class TaskFailed(Exception):
 @dataclass
 class RunConfig:
     targets: list[str]
-    n_range: list[int] | None = None
-    a_range: list[int] | None = None
-    b_range: list[int] | None = None
-    p_list: list[int] | None = None
-    k_range: list[int] | None = None
+    # each grid parameter's values, keyed by its name in TargetSpec.params
+    grid: dict[str, list[int]] = field(default_factory=dict)
     format: str = "text"
     jobs: int = 1
     fail_fast: bool = False
@@ -95,12 +89,8 @@ def parse_int_list(spec: str, flag: str) -> list[int]:
     return values
 
 
-# the RunConfig field that holds each grid parameter's values
-_GRID_FIELDS = {"a": "a_range", "b": "b_range", "n": "n_range", "p": "p_list", "k": "k_range"}
-
-
 def _grid(cfg: RunConfig, target: str, name: str) -> list[int]:
-    values = getattr(cfg, _GRID_FIELDS[name])
+    values = cfg.grid.get(name)
     if not values:
         raise UsageError(f"target {target} requires --{name}")
     return values
@@ -122,9 +112,9 @@ def expand_tasks(cfg: RunConfig) -> tuple[list[VerificationTask], list[str]]:
         spec = TARGETS.get(target)
         if spec is None:
             raise UsageError(
-                f"unknown target {target!r}; choose from: {', '.join(ALL_TARGETS)}"
+                f"unknown target {target!r}; choose from: {', '.join(TARGETS)}"
             )
-        if "k" in spec.params and not cfg.k_range:
+        if "k" in spec.params and not cfg.grid.get("k"):
             # the one default grid: k (lemma-2.1) runs over every valid 1..n-1
             points = ((n, k) for n in _grid(cfg, target, "n") for k in range(1, n))
         else:
@@ -133,7 +123,7 @@ def expand_tasks(cfg: RunConfig) -> tuple[list[VerificationTask], list[str]]:
             params = dict(zip(spec.params, point))
             try:
                 spec.check(**params)
-            except (InvalidParameters, NotPrime) as exc:
+            except InvalidParameters as exc:
                 pretty = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
                 warnings.append(f"skipping {target} {pretty}: {exc}")
                 continue
@@ -226,26 +216,35 @@ def _name_faults(tasks: list[VerificationTask], reports: Iterable[CongruenceRepo
     for task in tasks:
         try:
             yield next(reports)
-        except (InvalidParameters, NotPrime):
+        except InvalidParameters:
             raise
         except Exception as exc:
             raise TaskFailed(task, exc) from exc
 
 
+def _on_stream(op, *args):
+    """Run one write, flush or close of the output stream.  An OSError other
+    than a closed pipe (which main reports as 141) becomes WriteFailed."""
+    try:
+        return op(*args)
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise WriteFailed(exc.strerror or exc) from None
+
+
 def _emit_stream(reports: Iterable[CongruenceReport], fmt: str, stream: IO[str], fail_fast: bool) -> int:
     any_failed = False
-    writer = None
+    writer = csv.writer(stream, lineterminator="\n")
     if fmt == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        _on_stream(writer.writerow, CSV_COLUMNS)
     for report in reports:
-        if fmt == "json":
-            stream.write(report_to_json(report) + "\n")
-        elif fmt == "csv":
-            writer.writerow(report_to_csv_row(report))
+        if fmt == "csv":
+            _on_stream(writer.writerow, report_to_csv_row(report))
         else:
-            stream.write(report_to_text(report) + "\n")
-        stream.flush()
+            line = report_to_json(report) if fmt == "json" else report_to_text(report)
+            _on_stream(stream.write, line + "\n")
+        _on_stream(stream.flush)
         if not report.holds:
             any_failed = True
             if fail_fast:
@@ -283,7 +282,7 @@ def run_verify(cfg: RunConfig, stream: IO[str] | None = None, err: IO[str] | Non
         return _emit_stream(_name_faults(tasks, map(run_task, tasks)), cfg.format, stream, cfg.fail_fast)
     finally:
         if close_stream:
-            stream.close()
+            _on_stream(stream.close)
 
 
 # ---- compute ----
@@ -305,8 +304,7 @@ def run_compute(args: argparse.Namespace) -> int:
             raise UsageError("cyclotomic needs n >= 1")
         result = cyclotomic(n) if args.k is None else cyclotomic_power(n, args.k).poly
     elif obj == "trinomial":
-        print(classical_trinomial(need("n"), need("m")))
-        return 0
+        result = classical_trinomial(need("n"), need("m"))
     elif obj == "qtrinomial":
         result = q_trinomial(_parse_kind(args), need("n"), need("m"))
     elif obj == "truncated":
@@ -317,7 +315,9 @@ def run_compute(args: argparse.Namespace) -> int:
         result = vartheta(need("n"))
     else:  # pragma: no cover - argparse choices prevent this
         raise UsageError(f"unknown object {obj!r}")
-    print(to_text(result))
+    text = str(result) if obj == "trinomial" else to_text(result)
+    _on_stream(sys.stdout.write, text + "\n")
+    _on_stream(sys.stdout.flush)
     return 0
 
 
@@ -371,16 +371,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             if args.jobs < 1:
                 raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-            targets: list[str] = []
-            for chunk in args.target:
-                targets.extend(t for t in chunk.split(",") if t)
             cfg = RunConfig(
-                targets=targets,
-                n_range=parse_int_list(args.n, "--n") if args.n else None,
-                a_range=parse_int_list(args.a, "--a") if args.a else None,
-                b_range=parse_int_list(args.b, "--b") if args.b else None,
-                p_list=parse_int_list(args.p, "--p") if args.p else None,
-                k_range=parse_int_list(args.k, "--k") if args.k else None,
+                targets=[t for chunk in args.target for t in chunk.split(",") if t],
+                grid={name: parse_int_list(spec, f"--{name}")
+                      for name in ("n", "a", "b", "p", "k") if (spec := getattr(args, name))},
                 format=args.format,
                 jobs=args.jobs,
                 fail_fast=args.fail_fast,
@@ -391,14 +385,19 @@ def main(argv: list[str] | None = None) -> int:
     except TaskFailed as exc:
         print(f"qtrinom: internal error in {exc}", file=sys.stderr)
         return 3
-    except BrokenPipeError:
-        # the reader is gone: send what is still buffered to devnull so the
-        # interpreter's final flush is silent, and exit as a shell reports a
-        # process killed by SIGPIPE
+    except (BrokenPipeError, WriteFailed) as exc:
+        # the output is gone: send what is still buffered to devnull so the
+        # interpreter's final flush is silent.  A closed pipe exits as a shell
+        # reports a process killed by SIGPIPE, any other write error as bad
+        # output, like an --out that cannot be opened
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        where = f"--out {args.out}" if getattr(args, "out", None) else "stdout"
+        print(f"qtrinom: error: cannot write {where}: {exc}", file=sys.stderr)
+        return 2
     except (UsageError, ValueError) as exc:
-        # InvalidParameters and NotPrime are ValueErrors, as are compute's
+        # InvalidParameters (NotPrime is one) is a ValueError, as are compute's
         # argument errors; a task's other ValueErrors arrive as TaskFailed
         print(f"qtrinom: error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,8 @@ ring; M is recorded in every report.  Each term
 built by one exact two-term step (polyring._step) with no product, so
 the lemmas are checked on their own sums.
 
-Verification targets, each described once in TARGETS:
+Verification targets, each described once in TARGETS and each run by
+verify(target, **params), for example verify("theorem-a", a=2, b=1, n=2):
 
     theorem-a .. theorem-f   truncated q-trinomial congruences mod Phi_n(q)^2
     cor-plain, cor-star      truncated classical sums mod p^2
@@ -26,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .cyclotomic import Modulus, cyclotomic, cyclotomic_power
+from .cyclotomic import Modulus, cyclotomic_power
 from .polyring import (
     ONE,
     ZERO,
@@ -121,17 +122,17 @@ def rhs_theorem(kind: TrinomialKind, a: int, b: int, n: int) -> LaurentPoly:
     return pre * q_binomial_base(an, bn, family.base) * brace
 
 
-def _lemma_sides(n: int, weight_exp, correction: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    # the summation lemmas as stated: (sum_k (-1)^k q^w(k) L_k, correction).
-    # Term k is L_k = [n-k k] (1-q^n)/(1-q^(n-k)), one exact step: L_k is a
-    # polynomial, so the step's NonExactDivision never fires on valid input.
-    # L_0 is taken as 1, which sidesteps the removable singularity at n=0.
+def _lemma_sum(n: int, weight_exp) -> LaurentPoly:
+    # the summation lemmas' side sum_k (-1)^k q^w(k) L_k.  Term k is
+    # L_k = [n-k k] (1-q^n)/(1-q^(n-k)), one exact step: L_k is a polynomial,
+    # so the step's NonExactDivision never fires on valid input.  L_0 is
+    # taken as 1, which sidesteps the removable singularity at n=0.
     total = ZERO
     for k in range(0, n // 2 + 1):
         term = LaurentPoly(0, _step(q_binomial(n - k, k).coeffs, n, n - k)) if k else ONE
         sign = -1 if k % 2 else 1
         total = total + shift(term, weight_exp(k)) * sign
-    return total, correction
+    return total
 
 
 # ---- hypothesis checks, worded as the CLI prints them when skipping ----
@@ -194,7 +195,7 @@ class TargetSpec(NamedTuple):
     """One verification target.
 
     params are its grid parameters in expansion order; check raises
-    InvalidParameters or NotPrime when a hypothesis fails; sides returns
+    InvalidParameters (NotPrime is one) when a hypothesis fails; sides returns
     (lhs, rhs).  They are compared modulo Phi_base(q)^power (PHI) or
     base^power (INT), where base names a parameter, or exactly (EXACT).
     """
@@ -229,16 +230,16 @@ TARGETS: dict[str, TargetSpec] = {spec.name: spec for spec in (
     TargetSpec("lemma-2.1", ("n", "k"), lambda n, k: _hypothesis(1 <= k <= n - 1, "requires 1 <= k <= n-1"),
                _lemma_2_1, PHI, "n", 1),
     TargetSpec("lemma-theta", ("n",), lambda n: _hypothesis(n >= 0, "requires n >= 0"),
-               lambda n: _lemma_sides(n, lambda k: _half(k * (k - 1)), theta(n))),
+               lambda n: (_lemma_sum(n, lambda k: _half(k * (k - 1))), theta(n))),
     TargetSpec("lemma-vartheta", ("n",), lambda n: _hypothesis(n >= 0, "requires n >= 0"),
-               lambda n: _lemma_sides(n, lambda k: _half(k * (k - 3)), vartheta(n))),
+               lambda n: (_lemma_sum(n, lambda k: _half(k * (k - 3))), vartheta(n))),
     TargetSpec("lemma-theta-inv", ("n",), lambda n: _hypothesis(n >= 1, "requires n >= 1"),
-               lambda n: _lemma_sides(n, lambda k: _half(k * (3 * k - 1)), substitute_power(theta(n), -1)),
+               lambda n: (_lemma_sum(n, lambda k: _half(k * (3 * k - 1))), substitute_power(theta(n), -1)),
                PHI, "n", 2),
     # upsilon is read as vartheta: the inverse lemma is the q -> 1/q image of
     # the vartheta identity
     TargetSpec("lemma-upsilon-inv", ("n",), lambda n: _hypothesis(n >= 1, "requires n >= 1"),
-               lambda n: _lemma_sides(n, lambda k: _half(k * (3 * k + 1)), substitute_power(vartheta(n), -1)),
+               lambda n: (_lemma_sum(n, lambda k: _half(k * (3 * k + 1))), substitute_power(vartheta(n), -1)),
                PHI, "n", 2),
     TargetSpec("babbage", ("p",), require_odd_prime,
                lambda p: (binomial(2 * p - 1, p - 1), 1), INT, "p", 2),
@@ -250,7 +251,6 @@ TARGETS: dict[str, TargetSpec] = {spec.name: spec for spec in (
                lambda p: (q_binomial(2 * p - 1, p - 1), monomial(_half(p * (p - 1)))), PHI, "p", 2),
     TargetSpec("straub-q", ("a", "b", "n"), _check_straub, _straub_q, PHI, "n", 3),
 )}
-ALL_TARGETS = tuple(TARGETS)
 
 
 # ---- running a target ----
@@ -282,61 +282,21 @@ def _run(spec: TargetSpec, params: dict[str, int]) -> CongruenceReport:
     )
 
 
-def _verify(target: str, params: dict) -> CongruenceReport:
+def verify(target: str, **params: int) -> CongruenceReport:
+    """Check one target at one grid point, as in verify("theorem-a", a=2, b=1, n=2).
+
+    Raises InvalidParameters for an unknown target, a missing parameter or an
+    unmet hypothesis; parameters the target does not take are ignored.
+    """
     spec = TARGETS.get(target)
     if spec is None:
         raise InvalidParameters(f"unknown verification target {target!r}")
-    args = {}
     for name in spec.params:
         if params.get(name) is None:
             raise InvalidParameters(f"{target} needs parameter {name}")
-        args[name] = params[name]
-    return _run(spec, args)
+    return _run(spec, {name: params[name] for name in spec.params})
 
 
 def run_task(task: VerificationTask) -> CongruenceReport:
     """Execute one VerificationTask; the dispatch point for batch runs."""
-    return _verify(task.target, task.params)
-
-
-def verify_theorem(kind: TrinomialKind, a: int, b: int, n: int) -> CongruenceReport:
-    """Check one truncated q-trinomial congruence modulo Phi_n(q)^2."""
-    return _run(TARGETS[TARGET_BY_KIND[kind]], {"a": a, "b": b, "n": n})
-
-
-def verify_corollary(variant: str, a: int, b: int, p: int) -> CongruenceReport:
-    """Check a truncated classical sum ("plain" or "star") against +-C(a,b) modulo p^2."""
-    return _verify(f"cor-{variant}", {"a": a, "b": b, "p": p})
-
-
-def verify_lemma(which: str, n: int, k: int | None = None) -> CongruenceReport:
-    """Check one supporting lemma (binomial reduction, summation identity,
-    or its q -> 1/q image)."""
-    return _verify(which, {"n": n, "k": k})
-
-
-def verify_intro(which: str, **params: int) -> CongruenceReport:
-    """Check one of the historical congruences the main results refine."""
-    return _verify(which, params)
-
-
-__all__ = [
-    "ALL_TARGETS",
-    "CongruenceOutcome",
-    "CongruenceReport",
-    "Modulus",
-    "TARGETS",
-    "TARGET_BY_KIND",
-    "TargetSpec",
-    "VerificationTask",
-    "congruent",
-    "cyclotomic",
-    "rhs_theorem",
-    "run_task",
-    "theta",
-    "vartheta",
-    "verify_corollary",
-    "verify_intro",
-    "verify_lemma",
-    "verify_theorem",
-]
+    return verify(task.target, **task.params)

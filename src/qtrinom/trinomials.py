@@ -26,7 +26,7 @@ class InvalidParameters(ValueError):
     """A verification hypothesis (a > b >= 1, n >= 1, parity, ...) is violated."""
 
 
-class NotPrime(ValueError):
+class NotPrime(InvalidParameters):
     """A parameter that must be prime failed the deterministic primality test."""
 
 

@@ -1,12 +1,22 @@
 """Independent slow routes used only as test oracles: two for the classical
 trinomial coefficient (trinomials.classical_trinomial), two for the
-Gaussian binomial (qcombinatorics.q_binomial), one for the sides of the
-summation lemmas (congruence._lemma_sides) and one for the theorem
+Gaussian binomial (qcombinatorics.q_binomial), one for the side of the
+summation lemmas (congruence._lemma_sum) and one for the theorem
 right-hand sides (congruence.rhs_theorem); plus the truncated q-trinomial
 sum over a widened window (trinomials.truncated_q_trinomial), and the
 lemma sides times the product of their denominators, which must give the
-same verdicts as the sides themselves."""
+same verdicts as the sides themselves.
 
+The last section is a second opinion that shares no arithmetic with
+qtrinom: both sides of each theorem evaluated at q = z + e in the dual
+numbers F_p[e]/(e^2), z a primitive n-th root of unity modulo a prime
+p = 1 (mod n).  Run as a script it checks a ladder of large n:
+
+    PYTHONPATH=src python tests/oracles.py 60 80 100
+"""
+
+import math
+import sys
 from functools import cache
 
 from qtrinom.polyring import ONE, ZERO, LaurentPoly, exact_div, monomial, shift, substitute_power
@@ -66,7 +76,10 @@ def q_binomial_product(n: int, m: int) -> LaurentPoly:
 
 
 @cache
-def _lemma_sum(n: int, weight_exp) -> LaurentPoly:
+def lemma_sum(n: int, weight_exp) -> LaurentPoly:
+    """The side of a summation lemma built term by term: term k is
+    [n-k k] (1-q^n)/(1-q^(n-k)) (1 at k = 0), each a full product and one
+    exact_div; returns the signed, shifted sum."""
     total = ZERO
     for k in range(0, n // 2 + 1):
         if k == 0:
@@ -77,20 +90,13 @@ def _lemma_sum(n: int, weight_exp) -> LaurentPoly:
     return total
 
 
-def lemma_sides(n: int, weight_exp, correction: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """The summation lemmas built term by term: term k is
-    [n-k k] (1-q^n)/(1-q^(n-k)) (1 at k = 0), each a full product and one
-    exact_div; returns (signed, shifted sum, correction)."""
-    return _lemma_sum(n, weight_exp), correction
-
-
 def lemma_sides_cleared(n: int, weight_exp, correction: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """lemma_sides times D = prod_{j=1..n//2} (1 - q^(n-j)), the product of
+    """(lemma_sum, correction) times D = prod_{j=1..n//2} (1 - q^(n-j)), the product of
     the denominators: returns (D * sum, correction * D)."""
     d_poly = ONE
     for j in range(1, n // 2 + 1):
         d_poly = d_poly * (ONE - monomial(n - j))
-    return d_poly * _lemma_sum(n, weight_exp), correction * d_poly
+    return d_poly * lemma_sum(n, weight_exp), correction * d_poly
 
 
 def rhs_theorem_by_kind(kind: TrinomialKind, a: int, b: int, n: int, correction: bool = True) -> LaurentPoly:
@@ -128,3 +134,198 @@ def rhs_theorem_by_kind(kind: TrinomialKind, a: int, b: int, n: int, correction:
     if not correction:
         brace = ONE
     return pre * binom * brace
+
+
+# ---- both theorem sides at q = z + e over F_p ----
+#
+# If Phi_n^2 divides q^M (lhs - rhs) over Z, then Phi_n(z) = 0 mod p makes
+# Phi_n(z + e)^2 = 0 in F_p[e]/(e^2), and q^M is a unit there, so lhs and
+# rhs agree in value and derivative at q = z + e.  The test is one-sided: a
+# congruence that fails should give a difference at some root, but need not.
+# A dual number is a pair (value, derivative) of residues mod p.  Nothing
+# below forms a LaurentPoly (eval_dual only reads the coefficients of one it
+# is given), so no product, division or reduction of qtrinom's is involved.
+
+
+def _mul(x, y, p):
+    return x[0] * y[0] % p, (x[0] * y[1] + x[1] * y[0]) % p
+
+
+def _mono(z, w, p):
+    # q^w at q = z + e, for any integer w: (z^w, w z^(w-1)); at w = -1 this
+    # is (z+e)^-1 = z^-1 - z^-2 e
+    return pow(z, w, p), w * pow(z, w - 1, p) % p
+
+
+def _is_prime(m: int) -> bool:
+    # Miller-Rabin with bases 2, 3, 5, 7 is exact below 3,215,031,751
+    if m >= 3_215_031_751:
+        raise ValueError(f"{m} is past the exact range of the primality test")
+    if m < 2 or m % 2 == 0:
+        return m == 2
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, d, m)
+        if x in (0, 1, m - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@cache
+def dual_prime(n: int) -> int:
+    """The least prime p = 1 (mod n) above 2^31."""
+    p = ((1 << 31) // n + 1) * n + 1
+    while not _is_prime(p):
+        p += n
+    return p
+
+
+def primitive_roots(n: int, p: int) -> list[int]:
+    """Every primitive n-th root of unity modulo p, for p = 1 (mod n)."""
+    primes = [r for r in range(2, n + 1) if n % r == 0 and all(r % f for f in range(2, r))]
+    for h in range(2, p):
+        z = pow(h, (p - 1) // n, p)
+        if all(pow(z, n // r, p) != 1 for r in primes):
+            return [pow(z, j, p) for j in range(1, n + 1) if math.gcd(j, n) == 1]
+    raise ValueError(f"no primitive {n}-th root modulo {p}")
+
+
+def _binomials(x, entries, p):
+    """{(N, K): [N K] at the dual x} for each (N, K) in entries, by the
+    q-Pascal rule [N K] = [N-1 K-1] + x^K [N-1 K] streamed row by row, with
+    the columns cut at the largest K needed after [N K] = [N N-K]."""
+    wanted = {}
+    for big, small in entries:
+        if 0 <= small <= big:
+            wanted.setdefault(big, set()).add(min(small, big - small))
+    cols = max((k for ks in wanted.values() for k in ks), default=0)
+    powers = [(1, 0)]
+    for _ in range(cols):
+        powers.append(_mul(powers[-1], x, p))
+    value, deriv = [1] + [0] * cols, [0] * (cols + 1)
+    found = {}
+    for row in range(max(wanted, default=-1) + 1):
+        for k in range(min(row, cols), 0, -1):
+            x0, x1 = powers[k]
+            deriv[k] = (deriv[k - 1] + x0 * deriv[k] + x1 * value[k]) % p
+            value[k] = (value[k - 1] + x0 * value[k]) % p
+        for k in wanted.get(row, ()):
+            found[row, k] = value[k], deriv[k]
+    return {(big, small): found.get((big, min(small, big - small)), (0, 0)) for big, small in entries}
+
+
+def _theta_terms(n: int):
+    # theta(n) for n >= 1 as (exponent, sign) terms
+    m, r = divmod(n, 3)
+    sign = -1 if m % 2 else 1
+    if r == 0:
+        return [(m * (3 * m - 1) // 2, sign), (m * (3 * m + 1) // 2, sign)]
+    if r == 1:
+        return [(m * (3 * m + 1) // 2, sign)]
+    return [((m + 1) * (3 * m + 2) // 2, -sign)]
+
+
+def _vartheta_terms(n: int):
+    m, r = divmod(n, 3)
+    sign = -1 if m % 2 else 1
+    if r == 0:
+        return [(m * (3 * m - 5) // 2, sign), (m * (3 * m - 1) // 2, sign)]
+    if r == 1:
+        return [(m * (3 * m + 1) // 2, sign)]
+    return [((m - 1) * (3 * m + 2) // 2, -sign)]
+
+
+def _inverted(terms):
+    return lambda n: [(-e, c) for e, c in terms(n)]  # the q -> 1/q image
+
+
+# each family as the paper states it: the base s of [an k]_(q^s), the weight
+# w(an, bn, k) of term k, the prefactor exponent at d = an - bn, and the
+# corrections c in the brace 1 - s(a-b) sum_c (1 - c(n))
+_PAPER_FAMILIES = {
+    TrinomialKind.round: (1, lambda an, bn, k: k * (k + bn), lambda an, bn, d: 0, (_theta_terms,)),
+    TrinomialKind.tau0: (1, lambda an, bn, k: an * k - k * (k - 1) // 2, lambda an, bn, d: d * (an + bn + 1) // 2,
+                         (_theta_terms, _vartheta_terms)),
+    TrinomialKind.T0: (2, lambda an, bn, k: 0, lambda an, bn, d: 0, (_theta_terms,)),
+    TrinomialKind.T1: (2, lambda an, bn, k: k, lambda an, bn, d: d, (_vartheta_terms,)),
+    TrinomialKind.t0: (2, lambda an, bn, k: k * k, lambda an, bn, d: d * d, (_inverted(_theta_terms),)),
+    TrinomialKind.t1: (2, lambda an, bn, k: k * (k - 1), lambda an, bn, d: d * (d - 1),
+                       (_inverted(_vartheta_terms),)),
+}
+
+
+def theorem_sides_at(kind: TrinomialKind, a: int, b: int, n: int, p: int, z: int, correction: bool = True):
+    """(lhs, rhs) of one theorem at q = z + e in F_p[e]/(e^2), each a pair
+    (value, derivative) mod p.
+
+    The lhs is the truncated sum: k = 0..n//2 of q^w [an k] [an-k bn+k] for
+    round, and k = d-n//2..d of (-1)^k q^w [an k]_(q^s) [2an-2k d-k] for the
+    reflected families.  The rhs is (-1)^d q^pre [an bn]_(q^s) times the
+    brace; correction=False sets the brace to 1, as
+    rhs_theorem_by_kind(..., correction=False) does."""
+    base, weight, pre, corrections = _PAPER_FAMILIES[kind]
+    an, bn = a * n, b * n
+    d, half = an - bn, n // 2
+    reflected = kind is not TrinomialKind.round
+    ks = range(d - half, d + 1) if reflected else range(half + 1)
+    seconds = {k: (2 * an - 2 * k, d - k) if reflected else (an - k, bn + k) for k in ks}
+    needs = {1: set(seconds.values())}
+    needs.setdefault(base, set()).update({(an, k) for k in ks} | {(an, bn)})
+    tables = {s: _binomials(_mono(z, s, p), entries, p) for s, entries in needs.items()}
+
+    lhs = (0, 0)
+    for k in ks:
+        term = _mul(_mul(_mono(z, weight(an, bn, k), p), tables[base][an, k], p), tables[1][seconds[k]], p)
+        sign = -1 if reflected and k % 2 else 1
+        lhs = (lhs[0] + sign * term[0]) % p, (lhs[1] + sign * term[1]) % p
+
+    brace = (1, 0)
+    if correction:
+        total_v = total_d = 0
+        for c in corrections:
+            total_v += 1
+            for e, sign in c(n):
+                v, dv = _mono(z, e, p)
+                total_v, total_d = total_v - sign * v, total_d - sign * dv
+        scale = base * (a - b)
+        brace = (1 - scale * total_v) % p, -scale * total_d % p
+    rhs = _mul(_mul(_mono(z, pre(an, bn, d), p), tables[base][an, bn], p), brace, p)
+    if reflected and d % 2:
+        rhs = -rhs[0] % p, -rhs[1] % p
+    return lhs, rhs
+
+
+def eval_dual(poly: LaurentPoly, z: int, p: int):
+    """poly at q = z + e, term by term: (value, derivative) mod p."""
+    value = deriv = 0
+    zw = pow(z, poly.offset, p)
+    for w, c in enumerate(poly.coeffs, poly.offset):
+        value += c * zw
+        deriv += c * w * zw  # z times the derivative
+        zw = zw * z % p
+    return value % p, deriv * pow(z, -1, p) % p
+
+
+def _ladder(ns: list[int], a: int = 4, b: int = 1) -> int:
+    # every kind at (a, b, n), at every primitive n-th root: all must agree
+    bad = 0
+    for n in ns:
+        p = dual_prime(n)
+        roots = primitive_roots(n, p)
+        for kind in TrinomialKind:
+            misses = [z for z in roots if len(set(theorem_sides_at(kind, a, b, n, p, z))) != 1]
+            print(f"{kind.value} a={a} b={b} n={n} p={p}: {len(roots) - len(misses)}/{len(roots)} roots agree")
+            bad += len(misses)
+    return bad
+
+
+if __name__ == "__main__":
+    sys.exit(1 if _ladder([int(arg) for arg in sys.argv[1:]]) else 0)

@@ -17,14 +17,7 @@ import pytest
 
 from oracles import classical_trinomial_alt, classical_trinomial_expand, rhs_theorem_by_kind
 from qtrinom.cli import report_from_json
-from qtrinom.congruence import (
-    congruent,
-    rhs_theorem,
-    verify_corollary,
-    verify_intro,
-    verify_lemma,
-    verify_theorem,
-)
+from qtrinom.congruence import TARGET_BY_KIND, congruent, rhs_theorem, verify
 from qtrinom.cyclotomic import cyclotomic, cyclotomic_power
 from qtrinom.polyring import ONE, eval_at_one, exact_div, make_poly, monomial
 from qtrinom.qcombinatorics import q_binomial
@@ -45,7 +38,7 @@ def test_criterion_1_theorem_suite():
     for kind in ALL_KINDS:
         for n in range(1, 21):
             for a, b in AB_PAIRS:
-                report = verify_theorem(kind, a, b, n)
+                report = verify(TARGET_BY_KIND[kind], a=a, b=b, n=n)
                 assert report.holds, (kind, a, b, n)
                 assert report.residual.is_zero(), (kind, a, b, n)
                 checked += 1
@@ -55,7 +48,7 @@ def test_criterion_1_theorem_suite():
 
 
 def test_criterion_2_spot_value():
-    report = verify_theorem(TrinomialKind.round, 2, 1, 2)
+    report = verify("theorem-a", a=2, b=1, n=2)
     assert report.holds
     diff = truncated_q_trinomial(TrinomialKind.round, 2, 1, 2) - rhs_theorem(
         TrinomialKind.round, 2, 1, 2
@@ -68,7 +61,7 @@ def test_criterion_3_corollary_suite():
     for variant in ("plain", "star"):
         for p in (5, 7, 11, 13):
             for a, b in AB_PAIRS:
-                assert verify_corollary(variant, a, b, p).holds, (variant, a, b, p)
+                assert verify(f"cor-{variant}", a=a, b=b, p=p).holds, (variant, a, b, p)
     # the pinned instance: 1452 = 2 + 58*25
     from qtrinom.trinomials import truncated_classical
 
@@ -80,7 +73,7 @@ def test_criterion_3_corollary_suite():
     recorded = {}
     for variant in ("plain", "star"):
         for a, b in AB_PAIRS:
-            recorded[(variant, a, b)] = verify_corollary(variant, a, b, 3).holds
+            recorded[(variant, a, b)] = verify(f"cor-{variant}", a=a, b=b, p=3).holds
     expected_p3 = {
         ("plain", 2, 1): False, ("plain", 3, 1): True, ("plain", 3, 2): True,
         ("plain", 4, 1): True, ("plain", 4, 2): True, ("plain", 4, 3): False,
@@ -94,30 +87,30 @@ def test_criterion_3_corollary_suite():
 
 def test_criterion_4_intro_congruences():
     for p in (3, 5, 7, 11, 13):
-        assert verify_intro("babbage", p=p).holds, p
+        assert verify("babbage", p=p).holds, p
     for p in (5, 7, 11, 13):
-        assert verify_intro("wolstenholme", p=p).holds, p
+        assert verify("wolstenholme", p=p).holds, p
         for a, b in AB_PAIRS:
-            assert verify_intro("ljunggren", a=a, b=b, p=p).holds, (a, b, p)
+            assert verify("ljunggren", a=a, b=b, p=p).holds, (a, b, p)
     for p in (3, 5, 7, 11):
-        assert verify_intro("andrews-q", p=p).holds, p
+        assert verify("andrews-q", p=p).holds, p
     for n in (1, 5, 7, 11, 13, 25):
         for a in range(1, 5):
             for b in range(0, a + 1):
-                assert verify_intro("straub-q", a=a, b=b, n=n).holds, (a, b, n)
+                assert verify("straub-q", a=a, b=b, n=n).holds, (a, b, n)
     print("PASS criterion 4: babbage/wolstenholme/ljunggren/andrews-q/straub-q all hold")
 
 
 def test_criterion_5_lemma_suite():
     for n in range(2, 31):
         for k in range(1, n):
-            assert verify_lemma("lemma-2.1", n, k).holds, (n, k)
+            assert verify("lemma-2.1", n=n, k=k).holds, (n, k)
     for n in range(0, 31):
-        assert verify_lemma("lemma-theta", n).holds, n
-        assert verify_lemma("lemma-vartheta", n).holds, n
+        assert verify("lemma-theta", n=n).holds, n
+        assert verify("lemma-vartheta", n=n).holds, n
     for n in range(1, 31):
-        assert verify_lemma("lemma-theta-inv", n).holds, n
-        assert verify_lemma("lemma-upsilon-inv", n).holds, n
+        assert verify("lemma-theta-inv", n=n).holds, n
+        assert verify("lemma-upsilon-inv", n=n).holds, n
     print("PASS criterion 5: lemma suite (2.1 to n=30, identities to n=30, inverses to n=30)")
 
 

@@ -25,17 +25,9 @@ from qtrinom.cli import (
     report_to_text,
     run_verify,
 )
-from qtrinom.congruence import (
-    ALL_TARGETS,
-    TARGETS,
-    CongruenceReport,
-    VerificationTask,
-    run_task,
-    verify_lemma,
-    verify_theorem,
-)
+from qtrinom.congruence import TARGETS, CongruenceReport, VerificationTask, run_task, verify
 from qtrinom.polyring import LaurentPoly, NegativeExponent, NonExactDivision, NotMonic
-from qtrinom.trinomials import InvalidParameters, NotPrime, TrinomialKind
+from qtrinom.trinomials import InvalidParameters
 
 
 def test_parse_int_list():
@@ -52,14 +44,14 @@ def test_parse_int_list():
 
 
 def test_expand_tasks_theorem_grid():
-    cfg = RunConfig(targets=["theorem-a"], n_range=[1, 2], a_range=[2], b_range=[1])
+    cfg = RunConfig(targets=["theorem-a"], grid={"n": [1, 2], "a": [2], "b": [1]})
     tasks, warnings = expand_tasks(cfg)
     assert [t.params for t in tasks] == [{"a": 2, "b": 1, "n": 1}, {"a": 2, "b": 1, "n": 2}]
     assert warnings == []
 
 
 def test_expand_tasks_skips_with_warnings():
-    cfg = RunConfig(targets=["theorem-a"], n_range=[0, 1], a_range=[2, 1], b_range=[1])
+    cfg = RunConfig(targets=["theorem-a"], grid={"n": [0, 1], "a": [2, 1], "b": [1]})
     tasks, warnings = expand_tasks(cfg)
     assert [t.params for t in tasks] == [{"a": 2, "b": 1, "n": 1}]
     assert len(warnings) == 3  # (2,1,0), (1,1,0), (1,1,1)
@@ -67,24 +59,24 @@ def test_expand_tasks_skips_with_warnings():
 
 
 def test_expand_tasks_prime_filtering():
-    cfg = RunConfig(targets=["babbage"], p_list=[2, 3, 4, 5])
+    cfg = RunConfig(targets=["babbage"], grid={"p": [2, 3, 4, 5]})
     tasks, warnings = expand_tasks(cfg)
     assert [t.params["p"] for t in tasks] == [3, 5]
     assert len(warnings) == 2
 
 
 def test_expand_tasks_lemma_k_defaults():
-    cfg = RunConfig(targets=["lemma-2.1"], n_range=[4])
+    cfg = RunConfig(targets=["lemma-2.1"], grid={"n": [4]})
     tasks, _ = expand_tasks(cfg)
     assert [t.params["k"] for t in tasks] == [1, 2, 3]
-    cfg = RunConfig(targets=["lemma-2.1"], n_range=[4], k_range=[2, 9])
+    cfg = RunConfig(targets=["lemma-2.1"], grid={"n": [4], "k": [2, 9]})
     tasks, warnings = expand_tasks(cfg)
     assert [t.params["k"] for t in tasks] == [2]
     assert len(warnings) == 1
 
 
 def test_expand_tasks_straub_filter():
-    cfg = RunConfig(targets=["straub-q"], n_range=[5, 6], a_range=[2], b_range=[1])
+    cfg = RunConfig(targets=["straub-q"], grid={"n": [5, 6], "a": [2], "b": [1]})
     tasks, warnings = expand_tasks(cfg)
     assert [t.params["n"] for t in tasks] == [5]
     assert "gcd" in warnings[0]
@@ -93,10 +85,7 @@ def test_expand_tasks_straub_filter():
 def test_expand_tasks_deduplicates_and_sorts():
     cfg = RunConfig(
         targets=["babbage", "theorem-a", "babbage"],
-        n_range=[2, 1],
-        a_range=[2],
-        b_range=[1],
-        p_list=[5, 3, 5],
+        grid={"n": [2, 1], "a": [2], "b": [1], "p": [5, 3, 5]},
     )
     tasks, _ = expand_tasks(cfg)
     keys = [t.sort_key() for t in tasks]
@@ -108,15 +97,8 @@ def test_expand_tasks_skips_exactly_what_run_task_rejects():
     # the grid includes invalid points for every target; a point must be
     # skipped iff running it raises, and the warning must quote the exception
     values = {"a": range(-1, 5), "b": range(-1, 5), "n": range(-1, 8), "p": range(1, 14), "k": range(0, 8)}
-    cfg = RunConfig(
-        targets=[],
-        a_range=list(values["a"]),
-        b_range=list(values["b"]),
-        n_range=list(values["n"]),
-        p_list=list(values["p"]),
-        k_range=list(values["k"]),
-    )
-    for target in ALL_TARGETS:
+    cfg = RunConfig(targets=[], grid={name: list(v) for name, v in values.items()})
+    for target in TARGETS:
         cfg.targets = [target]
         tasks, warnings = expand_tasks(cfg)
         names = TARGETS[target].params
@@ -125,7 +107,7 @@ def test_expand_tasks_skips_exactly_what_run_task_rejects():
             task = VerificationTask(target, dict(zip(names, point)))
             try:
                 run_task(task)
-            except (InvalidParameters, NotPrime) as exc:
+            except InvalidParameters as exc:
                 pretty = " ".join(f"{k}={v}" for k, v in sorted(task.params.items()))
                 expected_warnings.append(f"skipping {target} {pretty}: {exc}")
             else:
@@ -137,9 +119,9 @@ def test_expand_tasks_skips_exactly_what_run_task_rejects():
 
 def test_expand_tasks_errors():
     with pytest.raises(UsageError):
-        expand_tasks(RunConfig(targets=["theorem-a"], n_range=[1]))  # no --a
+        expand_tasks(RunConfig(targets=["theorem-a"], grid={"n": [1]}))  # no --a
     with pytest.raises(UsageError):
-        expand_tasks(RunConfig(targets=["no-such-target"], n_range=[1]))
+        expand_tasks(RunConfig(targets=["no-such-target"], grid={"n": [1]}))
 
 
 # ---- serialization ----
@@ -147,10 +129,10 @@ def test_expand_tasks_errors():
 
 def _sample_reports():
     return [
-        verify_theorem(TrinomialKind.round, 2, 1, 2),
-        verify_theorem(TrinomialKind.t1, 2, 1, 3),
-        verify_lemma("lemma-theta", 7),  # modulus is None
-        verify_lemma("lemma-upsilon-inv", 4),  # nonzero cleared_shift
+        verify("theorem-a", a=2, b=1, n=2),
+        verify("theorem-f", a=2, b=1, n=3),
+        verify("lemma-theta", n=7),  # modulus is None
+        verify("lemma-upsilon-inv", n=4),  # nonzero cleared_shift
         run_task_report("cor-plain", a=2, b=1, p=3),  # holds=False, residual 3
         run_task_report("straub-q", a=3, b=2, n=5),
     ]
@@ -182,7 +164,7 @@ def test_json_round_trip_identical_fields():
 
 
 def test_json_residual_is_zero_string_when_holds():
-    report = verify_theorem(TrinomialKind.round, 2, 1, 2)
+    report = verify("theorem-a", a=2, b=1, n=2)
     assert json.loads(report_to_json(report))["residual"] == "0"
 
 
@@ -191,7 +173,7 @@ def test_text_rendering_and_elision():
     assert line.startswith("FAIL cor-plain a=2 b=1 p=3")
     assert "residual=3" in line and "mod=3^2" in line
 
-    ok_line = report_to_text(verify_theorem(TrinomialKind.round, 2, 1, 2))
+    ok_line = report_to_text(verify("theorem-a", a=2, b=1, n=2))
     assert ok_line.startswith("ok   theorem-a a=2 b=1 n=2")
     assert "mod=Phi(2)^2" in ok_line
 
@@ -212,8 +194,7 @@ def test_text_rendering_and_elision():
 
 def test_run_verify_json_stream():
     cfg = RunConfig(
-        targets=["theorem-a"], n_range=[1, 2, 3, 4, 5, 6], a_range=[2], b_range=[1],
-        format="json",
+        targets=["theorem-a"], grid={"n": [1, 2, 3, 4, 5, 6], "a": [2], "b": [1]}, format="json",
     )
     out = io.StringIO()
     code = run_verify(cfg, stream=out, err=io.StringIO())
@@ -226,7 +207,7 @@ def test_run_verify_json_stream():
 
 
 def test_run_verify_warns_and_skips():
-    cfg = RunConfig(targets=["theorem-a"], n_range=[0, 1], a_range=[2], b_range=[1])
+    cfg = RunConfig(targets=["theorem-a"], grid={"n": [0, 1], "a": [2], "b": [1]})
     out, err = io.StringIO(), io.StringIO()
     assert run_verify(cfg, stream=out, err=err) == 0
     assert len(out.getvalue().strip().splitlines()) == 1
@@ -234,7 +215,7 @@ def test_run_verify_warns_and_skips():
 
 
 def test_run_verify_exit_one_on_failure():
-    cfg = RunConfig(targets=["cor-plain"], a_range=[2], b_range=[1], p_list=[3, 5])
+    cfg = RunConfig(targets=["cor-plain"], grid={"a": [2], "b": [1], "p": [3, 5]})
     out = io.StringIO()
     assert run_verify(cfg, stream=out, err=io.StringIO()) == 1
     lines = out.getvalue().strip().splitlines()
@@ -243,7 +224,7 @@ def test_run_verify_exit_one_on_failure():
 
 def test_run_verify_fail_fast_stops():
     cfg = RunConfig(
-        targets=["cor-plain"], a_range=[2, 4], b_range=[1, 3], p_list=[3], fail_fast=True
+        targets=["cor-plain"], grid={"a": [2, 4], "b": [1, 3], "p": [3]}, fail_fast=True
     )
     out = io.StringIO()
     assert run_verify(cfg, stream=out, err=io.StringIO()) == 1
@@ -252,7 +233,7 @@ def test_run_verify_fail_fast_stops():
 
 
 def test_run_verify_csv_format():
-    cfg = RunConfig(targets=["babbage"], p_list=[3, 5], format="csv")
+    cfg = RunConfig(targets=["babbage"], grid={"p": [3, 5]}, format="csv")
     out = io.StringIO()
     assert run_verify(cfg, stream=out, err=io.StringIO()) == 0
     rows = list(csv.reader(io.StringIO(out.getvalue())))
@@ -265,10 +246,7 @@ def test_run_verify_deterministic_across_jobs():
     def run(jobs):
         cfg = RunConfig(
             targets=["theorem-b", "lemma-2.1", "babbage"],
-            n_range=[1, 2, 3, 4],
-            a_range=[2, 3],
-            b_range=[1, 2],
-            p_list=[3, 5, 7],
+            grid={"n": [1, 2, 3, 4], "a": [2, 3], "b": [1, 2], "p": [3, 5, 7]},
             format="json",
             jobs=jobs,
         )
@@ -306,7 +284,7 @@ def test_run_verify_clamps_jobs(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
 
     def run(jobs, primes):
-        cfg = RunConfig(targets=["babbage"], p_list=primes, jobs=jobs)
+        cfg = RunConfig(targets=["babbage"], grid={"p": primes}, jobs=jobs)
         assert run_verify(cfg, stream=io.StringIO(), err=io.StringIO()) == 0
 
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -456,7 +434,9 @@ def test_main_out_file_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "fault",
     [NotMonic("modulus must be monic"), NegativeExponent("dividend has negative exponents"),
-     NonExactDivision("nonzero remainder"), ArithmeticError("exponent 3 is not even")],
+     NonExactDivision("nonzero remainder"), ArithmeticError("exponent 3 is not even"),
+     # a task's own OSError is a fault, not an output that cannot be written
+     OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))],
 )
 def test_main_verify_internal_fault_exit_3(monkeypatch, capsys, fault):
     # an internal fault is not a usage error: the reports before it stay in
@@ -490,17 +470,41 @@ def test_main_verify_hypothesis_failure_in_task_stays_exit_2(monkeypatch, capsys
     assert capsys.readouterr().err == "qtrinom: error: requires a > b >= 1\n"
 
 
+def _cli_env():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_closed_stdout_pipe_exits_141_without_traceback(jobs):
     # `verify ... | head -1`: the reader leaves while the sweep is still
     # writing, which is not a failed check (exit 1) but a SIGPIPE-style 141
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, "-m", "qtrinom.cli", "verify", "--target", "theorem-a", "--n", "1..40",
             "--a", "4", "--b", "1..3", "--format", "json", "--jobs", jobs]
-    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+    with subprocess.Popen(argv, env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
         assert report_from_json(proc.stdout.readline()).holds
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["verify", "--target", "babbage", "--p", "3,5", "--jobs", "1"], "stdout"),
+        (["verify", "--target", "babbage", "--p", "3,5,7", "--jobs", "2"], "stdout"),
+        (["verify", "--target", "babbage", "--p", "3,5", "--format", "csv", "--out", "/dev/full"],
+         "--out /dev/full"),
+        (["compute", "--object", "qbinom", "--n", "4", "--m", "2"], "stdout"),
+    ],
+)
+def test_unwritable_output_exits_2_without_traceback(argv, where):
+    # a full device is bad output, like an --out that cannot be opened: not a
+    # failed check (1), and not the interpreter's failed final flush (120)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qtrinom.cli", *argv], env=_cli_env(),
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == f"qtrinom: error: cannot write {where}: {os.strerror(errno.ENOSPC)}\n"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import lemma_sides, lemma_sides_cleared, rhs_theorem_by_kind
+from oracles import lemma_sides_cleared, lemma_sum, rhs_theorem_by_kind
 
 import qtrinom.congruence as congruence_module
 from qtrinom.congruence import (
@@ -26,10 +26,7 @@ from qtrinom.congruence import (
     run_task,
     theta,
     vartheta,
-    verify_corollary,
-    verify_intro,
-    verify_lemma,
-    verify_theorem,
+    verify,
 )
 from qtrinom.cyclotomic import cyclotomic_power
 from qtrinom.polyring import ONE, ZERO, LaurentPoly, _step, make_poly, monomial, rem_monic, shift, substitute_power
@@ -152,7 +149,7 @@ def test_rhs_theorem_examples():
 
 
 def test_verify_theorem_spot_value():
-    report = verify_theorem(TrinomialKind.round, 2, 1, 2)
+    report = verify("theorem-a", a=2, b=1, n=2)
     assert report.holds
     assert report.target == "theorem-a"
     assert report.modulus == (2, 2)
@@ -168,7 +165,7 @@ def test_verify_theorem_exact_at_single_term():
     assert truncated_q_trinomial(TrinomialKind.tau0, 2, 1, 1) == rhs_theorem(
         TrinomialKind.tau0, 2, 1, 1
     )
-    assert verify_theorem(TrinomialKind.tau0, 2, 1, 1).holds
+    assert verify("theorem-b", a=2, b=1, n=1).holds
 
 
 def test_verify_theorem_small_grid_all_kinds():
@@ -176,7 +173,7 @@ def test_verify_theorem_small_grid_all_kinds():
         for n in range(1, 7):
             for a in (2, 3, 4):
                 for b in range(1, a):
-                    assert verify_theorem(kind, a, b, n).holds, (kind, a, b, n)
+                    assert verify(TARGET_BY_KIND[kind], a=a, b=b, n=n).holds, (kind, a, b, n)
 
 
 def _direct_outcome(kind, a, b, n, correction=True):
@@ -198,7 +195,7 @@ def test_verify_theorem_matches_direct_path():
     # the theorem targets build the lhs modulo (q^n - 1)^2; the report must
     # be the one the fully expanded lhs gives
     for kind, a, b, n in _small_theorem_grid(10):
-        report = verify_theorem(kind, a, b, n)
+        report = verify(TARGET_BY_KIND[kind], a=a, b=b, n=n)
         direct = _direct_outcome(kind, a, b, n)
         got = (report.holds, report.residual, report.cleared_shift)
         assert got == tuple(direct), (kind, a, b, n)
@@ -219,6 +216,27 @@ def test_negative_control_through_run_task(monkeypatch):
         if not report.holds:
             failed.add(kind)
     assert failed == set(ALL_KINDS)
+
+
+def test_theorem_valuation_is_two_except_at_one_point():
+    # the exact Phi_n-adic valuation of lhs - rhs: every case holds modulo
+    # Phi_n^2, and all but one fail modulo Phi_n^3, so the paper's exponent is
+    # best possible there and the checker is seen to reject on every case.
+    # (q^n - 1)^4 is a multiple of Phi_n^k for k <= 4, so the lhs reduced
+    # modulo it gives the same verdicts as the full lhs
+    cases, cubic = 0, []
+    for kind, a, b, n in _small_theorem_grid(12):
+        if n == 1:
+            continue
+        lhs = truncated_q_trinomial(kind, a, b, n, reduce_by=cyclotomic_power(n, 4).sparse)
+        rhs = rhs_theorem(kind, a, b, n)
+        assert congruent(lhs, rhs, cyclotomic_power(n, 2)).holds, (kind, a, b, n)
+        if congruent(lhs, rhs, cyclotomic_power(n, 3)).holds:
+            cubic.append((kind, a, b, n))
+            assert not congruent(lhs, rhs, cyclotomic_power(n, 4)).holds, (kind, a, b, n)
+        cases += 1
+    assert cases == 396
+    assert cubic == [(TrinomialKind.tau0, 3, 1, 4)]
 
 
 def test_negative_control_round_spot():
@@ -269,17 +287,17 @@ def test_tau0_prefactor_discrepancy_is_logged(caplog):
 
 
 def test_verify_corollary_examples():
-    report = verify_corollary("plain", 2, 1, 5)
+    report = verify("cor-plain", a=2, b=1, p=5)
     assert report.holds and report.modulus == (5, 2)
     # 1452 = 2 + 58*25
     assert report.residual == ZERO
 
-    report = verify_corollary("plain", 2, 1, 3)
+    report = verify("cor-plain", a=2, b=1, p=3)
     assert not report.holds
     # 50 mod 9 = 5 while C(2,1) = 2, so the witness is 3
     assert report.residual == make_poly([(0, 3)])
 
-    assert verify_corollary("star", 2, 1, 5).holds
+    assert verify("cor-star", a=2, b=1, p=5).holds
 
 
 def test_verify_corollary_grid():
@@ -287,23 +305,23 @@ def test_verify_corollary_grid():
         for p in (5, 7):
             for a in (2, 3, 4):
                 for b in range(1, a):
-                    assert verify_corollary(variant, a, b, p).holds, (variant, a, b, p)
+                    assert verify(f"cor-{variant}", a=a, b=b, p=p).holds, (variant, a, b, p)
 
 
 def test_verify_corollary_errors():
     with pytest.raises(NotPrime):
-        verify_corollary("plain", 2, 1, 15)
+        verify("cor-plain", a=2, b=1, p=15)
     with pytest.raises(InvalidParameters):
-        verify_corollary("plain", 2, 1, 2)
+        verify("cor-plain", a=2, b=1, p=2)
     with pytest.raises(InvalidParameters):
-        verify_corollary("sideways", 2, 1, 5)
+        verify("cor-sideways", a=2, b=1, p=5)
 
 
 def test_corollary_hypothesis_has_one_wording():
     with pytest.raises(InvalidParameters) as direct:
         truncated_classical("plain", 1, 1, 5)
     with pytest.raises(InvalidParameters) as target:
-        verify_corollary("plain", 1, 1, 5)
+        verify("cor-plain", a=1, b=1, p=5)
     assert str(direct.value) == str(target.value) == "requires a > b >= 1"
 
 
@@ -311,40 +329,40 @@ def test_corollary_hypothesis_has_one_wording():
 
 
 def test_verify_lemma_examples():
-    report = verify_lemma("lemma-theta", 0)
+    report = verify("lemma-theta", n=0)
     assert report.holds
     assert report.modulus is None
 
-    report = verify_lemma("lemma-2.1", 5, 2)
+    report = verify("lemma-2.1", n=5, k=2)
     assert report.holds and report.modulus == (5, 1)
 
     # hand computation: (1-q^2)(1/(1-q^2) - q^-1/(1-q)) = -q^-1 = vartheta(2)
-    report = verify_lemma("lemma-vartheta", 2)
+    report = verify("lemma-vartheta", n=2)
     assert report.holds
     assert vartheta(2) == monomial(-1, -1)
 
 
 def test_verify_lemma_grids():
     for n in range(0, 16):
-        assert verify_lemma("lemma-theta", n).holds, n
-        assert verify_lemma("lemma-vartheta", n).holds, n
+        assert verify("lemma-theta", n=n).holds, n
+        assert verify("lemma-vartheta", n=n).holds, n
     for n in range(1, 16):
-        assert verify_lemma("lemma-theta-inv", n).holds, n
-        assert verify_lemma("lemma-upsilon-inv", n).holds, n
+        assert verify("lemma-theta-inv", n=n).holds, n
+        assert verify("lemma-upsilon-inv", n=n).holds, n
     for n in range(2, 12):
         for k in range(1, n):
-            assert verify_lemma("lemma-2.1", n, k).holds, (n, k)
+            assert verify("lemma-2.1", n=n, k=k).holds, (n, k)
 
 
 def test_verify_lemma_errors():
     with pytest.raises(InvalidParameters):
-        verify_lemma("lemma-2.1", 5, 5)
+        verify("lemma-2.1", n=5, k=5)
+    with pytest.raises(InvalidParameters, match="^lemma-2.1 needs parameter k$"):
+        verify("lemma-2.1", n=5)
     with pytest.raises(InvalidParameters):
-        verify_lemma("lemma-2.1", 5)
-    with pytest.raises(InvalidParameters):
-        verify_lemma("lemma-theta-inv", 0)
-    with pytest.raises(InvalidParameters):
-        verify_lemma("lemma-nope", 3)
+        verify("lemma-theta-inv", n=0)
+    with pytest.raises(InvalidParameters, match="^unknown verification target 'lemma-nope'$"):
+        verify("lemma-nope", n=3)
 
 
 # the four summation lemmas as the paper states them: weight exponent w(k)
@@ -360,7 +378,7 @@ LEMMA_SUMS = {
 @given(st.sampled_from(sorted(LEMMA_SUMS)), st.integers(0, 30))
 def test_lemma_sides_match_term_by_term_oracle(name, n):
     weight_exp, correction = LEMMA_SUMS[name]
-    assert TARGETS[name].sides(n) == lemma_sides(n, weight_exp, correction(n))
+    assert TARGETS[name].sides(n) == (lemma_sum(n, weight_exp), correction(n))
 
 
 def test_lemma_verdicts_match_denominator_cleared_sides():
@@ -373,7 +391,7 @@ def test_lemma_verdicts_match_denominator_cleared_sides():
         spec = TARGETS[name]
         for ahead in (0, 1, 2):  # the correction at n + ahead
             cleared = spec._replace(sides=lambda n: lemma_sides_cleared(n, weight_exp, correction(n + ahead)))
-            plain = spec._replace(sides=lambda n: congruence_module._lemma_sides(n, weight_exp, correction(n + ahead)))
+            plain = spec._replace(sides=lambda n: (congruence_module._lemma_sum(n, weight_exp), correction(n + ahead)))
             for n in range(0 if spec.modulus == EXACT else 1, 41):
                 want = congruence_module._run(cleared, {"n": n})
                 got = congruence_module._run(plain, {"n": n})
@@ -395,13 +413,13 @@ def test_lemma_negative_control_wrong_correction(name):
     # theta(n+1) in place of theta(n) must fail through the lemma verifier
     weight_exp, correction = LEMMA_SUMS[name]
     wrong = TARGETS[name]._replace(
-        sides=lambda n: congruence_module._lemma_sides(n, weight_exp, correction(n + 1))
+        sides=lambda n: (congruence_module._lemma_sum(n, weight_exp), correction(n + 1))
     )
     for n in range(1, 31):
         report = congruence_module._run(wrong, {"n": n})
         assert not report.holds and not report.residual.is_zero(), (name, n)
         # the residual is that of the lemma as stated, S - wrong
-        diff = lemma_sides(n, weight_exp, correction(n))[0] - correction(n + 1)
+        diff = lemma_sum(n, weight_exp) - correction(n + 1)
         if wrong.modulus == PHI:
             diff = rem_monic(shift(diff, max(0, -diff.min_exponent)), cyclotomic_power(n, 2).poly)
         assert report.residual == diff, (name, n)
@@ -412,32 +430,32 @@ def test_lemma_negative_control_wrong_correction(name):
 
 def test_verify_intro_examples():
     # C(5,2) = 10 = 1 + 9
-    assert verify_intro("babbage", p=3).holds
+    assert verify("babbage", p=3).holds
     # C(9,4) = 126 = 1 + 125
-    assert verify_intro("wolstenholme", p=5).holds
+    assert verify("wolstenholme", p=5).holds
     # C(10,5) = 252 = 2 + 2*125
-    assert verify_intro("ljunggren", a=2, b=1, p=5).holds
-    assert verify_intro("andrews-q", p=3).holds
-    assert verify_intro("straub-q", a=2, b=1, n=5).holds
-    assert verify_intro("straub-q", a=3, b=3, n=7).holds
-    assert verify_intro("straub-q", a=2, b=1, n=1).holds
+    assert verify("ljunggren", a=2, b=1, p=5).holds
+    assert verify("andrews-q", p=3).holds
+    assert verify("straub-q", a=2, b=1, n=5).holds
+    assert verify("straub-q", a=3, b=3, n=7).holds
+    assert verify("straub-q", a=2, b=1, n=1).holds
 
 
 def test_verify_intro_errors():
     with pytest.raises(NotPrime):
-        verify_intro("babbage", p=4)
+        verify("babbage", p=4)
     with pytest.raises(InvalidParameters):
-        verify_intro("babbage", p=2)
+        verify("babbage", p=2)
     with pytest.raises(InvalidParameters):
-        verify_intro("wolstenholme", p=3)
+        verify("wolstenholme", p=3)
     with pytest.raises(InvalidParameters):
-        verify_intro("ljunggren", a=2, b=-1, p=5)
+        verify("ljunggren", a=2, b=-1, p=5)
     with pytest.raises(InvalidParameters):
-        verify_intro("straub-q", a=2, b=1, n=6)
+        verify("straub-q", a=2, b=1, n=6)
     with pytest.raises(InvalidParameters):
-        verify_intro("straub-q", a=1, b=2, n=5)
+        verify("straub-q", a=1, b=2, n=5)
     with pytest.raises(InvalidParameters):
-        verify_intro("gauss", p=5)
+        verify("gauss", p=5)
 
 
 # ---- task dispatch ----
