@@ -158,12 +158,12 @@ def _check_straub(a: int, b: int, n: int) -> None:
 
 
 def _theorem_sides(kind: TrinomialKind):
-    # the lhs is built modulo (q^n - 1)^power, a sparse multiple of
-    # Phi_n^power; congruent's remainder modulo Phi_n^power is unique, so the
-    # residual is unchanged, and the lhs is ordinary either way, so the rhs
-    # alone fixes cleared_shift
+    # the lhs is built in Z[q]/((q^n - 1)^power), and (q^n - 1)^power is a
+    # multiple of Phi_n^power; congruent's remainder modulo Phi_n^power is
+    # unique, so the residual is unchanged, and the lhs is ordinary either
+    # way, so the rhs alone fixes cleared_shift
     def sides(a: int, b: int, n: int):
-        lhs = truncated_q_trinomial(kind, a, b, n, reduce_by=cyclotomic_power(n, THEOREM_POWER).sparse)
+        lhs = truncated_q_trinomial(kind, a, b, n, power=THEOREM_POWER)
         return lhs, rhs_theorem(kind, a, b, n)
 
     return sides

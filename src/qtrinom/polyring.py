@@ -10,8 +10,16 @@ equality is semantic equality.
 Coefficients are plain Python ints; all arithmetic is exact at any
 magnitude.  Large products are computed by Kronecker substitution (packing
 the coefficient vector into one big integer), which hands the real work to
-CPython's big-int multiplication.  A two-term factor (1 - q^up)/(1 - q^down)
-needs no product: _step applies it in linear time.
+CPython's big-int multiplication; dot sums many products before reading the
+digits back once.  A two-term factor (1 - q^up)/(1 - q^down) needs no
+product: _step applies it in linear time.
+
+The quotient ring Z[q]/((q^n - 1)^k) has its own form: per residue class
+mod n, the Taylor coefficients at y = q^n = 1 (_taylor).  Multiplying by
+q^j and substituting q -> q^2 act on that form directly, and
+_from_taylor gives back the Euclidean remainder modulo (q^n - 1)^k, so
+rem_monic's closed form for that modulus is the one constructor followed by
+the basis change.
 """
 from __future__ import annotations
 
@@ -222,12 +230,15 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     # the product coefficients back out of the digits.  w is chosen so that
     # every input and product coefficient lies strictly inside (-B/2, B/2), so
     # each shifted by B/2 is one unsigned digit: the offset-digit codec.
-    amax = max(map(abs, a))
-    bmax = max(map(abs, b))
-    bits = amax.bit_length() + bmax.bit_length() + min(len(a), len(b)).bit_length() + 2
-    w = (bits + 7) // 8
+    w = _digit_width(max(map(abs, a)), max(map(abs, b)), min(len(a), len(b)))
     n = _pack(a, w) * _pack(b, w)
     return _unpack(n, w, len(a) + len(b) - 1)
+
+
+def _digit_width(amax: int, bmax: int, terms: int) -> int:
+    """Bytes w per digit such that |a| <= amax, |b| <= bmax and any sum of
+    `terms` products a*b lie strictly inside (-B/2, B/2), B = 2^(8w)."""
+    return (amax.bit_length() + bmax.bit_length() + terms.bit_length() + 2 + 7) // 8
 
 
 def _half_digits(w: int, count: int) -> int:
@@ -295,6 +306,23 @@ def substitute_power(x: LaurentPoly, s: int) -> LaurentPoly:
     out = [0] * ((len(coeffs) - 1) * abs(s) + 1)
     out[::s] = coeffs
     return _rebuild((x.offset if s > 0 else x.offset + len(coeffs) - 1) * s, tuple(out))
+
+
+def dot(xs: Iterable[LaurentPoly], ys: Iterable[LaurentPoly]) -> LaurentPoly:
+    """sum_i xs[i] * ys[i].  Every product is taken by Kronecker substitution
+    at one digit width, and the products are summed as integers, so the sum
+    is read back out of the digits once."""
+    pairs = [(x, y) for x, y in zip(xs, ys) if x.coeffs and y.coeffs]
+    if not pairs:
+        return ZERO
+    lo = min(x.offset + y.offset for x, y in pairs)
+    w = _digit_width(
+        max(max(map(abs, x.coeffs)) for x, _ in pairs),
+        max(max(map(abs, y.coeffs)) for _, y in pairs),
+        sum(min(len(x.coeffs), len(y.coeffs)) for x, y in pairs),
+    )
+    packed = sum((_pack(x.coeffs, w) * _pack(y.coeffs, w)) << (8 * w * (x.offset + y.offset - lo)) for x, y in pairs)
+    return LaurentPoly(lo, _unpack(packed, w, max(x.degree + y.degree for x, y in pairs) - lo + 1))
 
 
 def eval_at_one(x: LaurentPoly) -> int:
@@ -394,6 +422,20 @@ def _power_of_qn_minus_one(m: LaurentPoly) -> tuple[int, int] | None:
 
 def _rem_taylor(x: LaurentPoly, n: int, k: int) -> LaurentPoly:
     """x mod (q^n - 1)^k by Taylor sums per residue class (see rem_monic)."""
+    return _from_taylor(_taylor(x, n, k))
+
+
+# ---- the quotient ring Z[q]/((q^n - 1)^k) ----
+#
+# Put y = q^n and e = y - 1, so e^k = 0 in the ring.  An element is
+# sum_r q^r sum_{i<k} S_i[r] e^i over the residue classes r = 0..n-1, held
+# as its k Taylor vectors [S_0, ..., S_(k-1)], each a list of length n.
+# The functions below never modify the lists they are given, so an element
+# may be shared.
+
+
+def _taylor(x: LaurentPoly, n: int, k: int) -> list[list[int]]:
+    """The Taylor vectors of the ordinary polynomial x in Z[q]/((q^n - 1)^k)."""
     coeffs, offset = x.coeffs, x.offset
     # coeffs[i0::n] holds y^j0, y^(j0+1), ... of class (offset + i0) mod n,
     # with j0 = (offset + i0) // n equal to base or base + 1
@@ -413,7 +455,13 @@ def _rem_taylor(x: LaurentPoly, n: int, k: int) -> LaurentPoly:
         taylor[0][r] = sum(col)
         for i in range(1, k):
             taylor[i][r] = sum(map(mul, w[i], col))
-    # sum_i S_i (y - 1)^i in powers of y: y^s takes (-1)^(i-s) C(i, s) S_i
+    return taylor
+
+
+def _from_taylor(taylor: Sequence[Sequence[int]]) -> LaurentPoly:
+    """The polynomial form, of degree < kn: sum_i S_i (y - 1)^i in powers of
+    y, where y^s takes (-1)^(i-s) C(i, s) S_i."""
+    k = len(taylor)
     out: list[int] = []
     for s in range(k):
         block = taylor[s]
@@ -421,6 +469,57 @@ def _rem_taylor(x: LaurentPoly, n: int, k: int) -> LaurentPoly:
             block = list(map(add, block, map(((-1) ** (i - s) * comb(i, s)).__mul__, taylor[i])))
         out.extend(block)
     return LaurentPoly(0, out)
+
+
+def _taylor_add(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> list[list[int]]:
+    return [list(map(add, u, v)) for u, v in zip(x, y)]
+
+
+def _taylor_shift(taylor: Sequence[Sequence[int]], j: int) -> list[list[int]]:
+    """q^j times the element, j >= 0.  With j = u*n + r, every class gains
+    y^u = (1 + e)^u, so S_i gains sum_(l<i) C(u, i-l) S_l; class c then moves
+    to (c + r) mod n, and the r classes that wrap past q^n gain one more
+    y = 1 + e, so S_i gains S_(i-1) there."""
+    n = len(taylor[0])
+    u, r = divmod(j, n)
+    cut = n - r
+    out = []
+    for i, s in enumerate(taylor):
+        for l in range(i if u else 0):
+            c = comb(u, i - l)
+            s = list(map(add, s, map(c.__mul__, taylor[l])))
+        out.append(s[cut:] + s[:cut])
+    if r:
+        # top down, so out[i - 1] still holds S_(i-1) before its own wrap term
+        for i in range(len(out) - 1, 0, -1):
+            out[i][:r] = map(add, out[i][:r], out[i - 1][:r])
+    return out
+
+
+def _taylor_q2(taylor: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The image under q -> q^2, a ring map since (q^(2n) - 1)^k is a multiple
+    of (q^n - 1)^k.  q^r e^i goes to q^(2r) e^i (2 + e)^i, as q^(2n) - 1 is
+    e (2 + e), and q^(2r) is q^(2r-n) y = q^(2r-n) (1 + e) when 2r >= n."""
+    n, k = len(taylor[0]), len(taylor)
+    # e^i (2 + e)^i = sum_m C(i, m) 2^(i-m) e^(i+m), cut at e^k
+    mixed = [[c << i for c in s] for i, s in enumerate(taylor)]
+    for i in range(1, k):
+        for m in range(1, min(i, k - 1 - i) + 1):
+            scale = comb(i, m) << (i - m)
+            mixed[i + m] = list(map(add, mixed[i + m], map(scale.__mul__, taylor[i])))
+    # classes r < half land on 2r, the others on 2r - n, in steps of 2
+    half = (n + 1) // 2
+    out, wrapped_before = [], None
+    for s in mixed:
+        low, wrapped = [0] * n, [0] * n
+        low[: 2 * half : 2] = s[:half]
+        wrapped[2 * half - n :: 2] = s[half:]
+        row = list(map(add, low, wrapped))
+        if wrapped_before is not None:
+            row = list(map(add, row, wrapped_before))
+        out.append(row)
+        wrapped_before = wrapped
+    return out
 
 
 # ---- canonical text form ----

@@ -9,16 +9,40 @@ weight w, whether it is reflected, and the corrections in its congruence.
 Truncated forms keep floor(n/2) + 1 summands, starting at the anchor k = 0
 for round and ending at the anchor k = an-bn for the reflected families.
 The congruence prefactor is the signed summand weight at the anchor, so one
-row fixes both sides.  A truncated sum can be built modulo a monic
-polynomial instead of in full: every summand is then reduced as it is
-formed, so the sum never grows past the modulus degree.
+row fixes both sides.
+
+A truncated sum can instead be built in Z[q]/((q^n - 1)^k), as its
+Euclidean remainder modulo (q^n - 1)^k.  Its binomials then come from
+q-Pascal rows [N j] = [N-1 j-1] + q^j [N-1 j] held in ring form (the
+Taylor vectors of polyring._taylor): the step needs no division, so it is
+valid in the ring.  Each (n, k) has two process-wide row streams, never
+restarted: full rows for the first factors and round's second factors, and
+a band of width n//2 for the reflected second factors.  A stream keeps its
+current row and the entries that _read_by_families names, and drops the
+rest.  Weights and the base q^2 are applied in the ring, so each summand is
+one product of two polynomial forms of degree < kn (polyring.dot reads the
+products back out once for the whole sum), and the sum is folded once.
 """
 from __future__ import annotations
 
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .polyring import ONE, ZERO, LaurentPoly, monomial, rem_monic, shift, substitute_power
+from .cyclotomic import cyclotomic_power
+from .polyring import (
+    ONE,
+    ZERO,
+    LaurentPoly,
+    _from_taylor,
+    _taylor_add,
+    _taylor_q2,
+    _taylor_shift,
+    dot,
+    monomial,
+    rem_monic,
+    shift,
+    substitute_power,
+)
 from .qcombinatorics import binomial, q_binomial, q_binomial_base
 
 
@@ -129,6 +153,7 @@ class Family(NamedTuple):
     right-hand side is pre * [an bn]_(q^base) * brace, with pre the signed
     term weight at the anchor, (-1)^anchor q^weight(an, bn, anchor), and
     brace = 1 - base*(a-b) * sum_c (1 - c(n)) over the corrections c.
+    base is 1 or 2: the ring form of a truncated sum has the q -> q^2 image.
     """
 
     base: int
@@ -154,24 +179,86 @@ FAMILIES = {
 }
 
 
+def _read_by_families(n: int, big: int, small: int) -> bool:
+    """Whether a truncated sum at this n, for some a > b >= 1, reads [big small]_q.
+
+    The FAMILIES rows read, with 0 <= k <= n/2:
+      - every entry of a row big = an: the first factors [an k];
+      - [an-k bn+k]: round's second factors;
+      - [2bn+2k k]: the reflected second factors [2an-2k' an-bn-k'].
+    small may be either of [big small] = [big big-small].
+    """
+    if big % n == 0:
+        return True
+    for j in (small, big - small):
+        k = j % n
+        if j >= n and 2 * k <= n and (big + j) % n == 0:
+            return True
+    return big >= 2 * n and big % 2 == 0 and 2 * small == big % (2 * n) <= n
+
+
+class DroppedRowEntry(LookupError):
+    """A row stream was asked for an entry it has passed and did not keep."""
+
+
+class _RowStream:
+    """q-Pascal rows N = 0, 1, 2, ... in Z[q]/((q^n - 1)^k), each entry as
+    its Taylor vectors.  Row N holds [N j] for j <= min(N//2, width); the
+    others follow from [N j] = [N N-j].  Only the current row and the
+    entries _read_by_families names are kept.  width None means full rows."""
+
+    def __init__(self, n: int, k: int, width: int | None):
+        self.n, self.width = n, width
+        one = [[0] * n for _ in range(k)]
+        one[0][0] = 1
+        self.big, self.row = 0, [one]
+        self.kept: dict[tuple[int, int], list[list[int]]] = {}
+
+    def entry(self, big: int, small: int) -> list[list[int]]:
+        small = min(small, big - small)
+        while self.big < big:
+            self._advance()
+        if big == self.big and small < len(self.row):
+            return self.row[small]
+        hit = self.kept.get((big, small))
+        if hit is None:
+            raise DroppedRowEntry(f"[{big} {small}] is not kept by the n={self.n} row stream")
+        return hit
+
+    def _advance(self) -> None:
+        prev, big = self.row, self.big + 1
+        if big % 2 == 0 and (self.width is None or big // 2 <= self.width):
+            # the new middle entry [big big/2] reads [big-1 big/2] = [big-1 big/2-1]
+            prev = prev + prev[-1:]
+        row = [prev[0]]
+        row += [_taylor_add(prev[j - 1], _taylor_shift(prev[j], j)) for j in range(1, len(prev))]
+        self.big, self.row = big, row
+        for j, value in enumerate(row):
+            if _read_by_families(self.n, big, j):
+                self.kept[big, j] = value
+
+
+# (n, k, width) -> the row stream of Z[q]/((q^n - 1)^k) of that width
+_ROWS: dict[tuple[int, int, int | None], _RowStream] = {}
+
+
+def _rows(n: int, k: int, width: int | None) -> _RowStream:
+    stream = _ROWS.get((n, k, width))
+    if stream is None:
+        stream = _ROWS[n, k, width] = _RowStream(n, k, width)
+    return stream
+
+
 def classical_trinomial(n: int, m: int) -> int:
     """Coefficient of x^(m+n) in (1+x+x^2)^n; zero for |m| > n."""
     return sum(binomial(n, k) * binomial(n - k, m + k) for k in range(n + 1))
 
 
-def _summand(
-    family: Family, n: int, m: int, k: int, reduce_by: LaurentPoly | None = None
-) -> LaurentPoly:
+def _summand(family: Family, n: int, m: int, k: int) -> LaurentPoly:
     second = q_binomial(2 * n - 2 * k, n - m - k) if family.reflected else q_binomial(n - k, m + k)
     if second.is_zero():
         return ZERO
-    # every weight exponent is >= 0, so the weighted first factor stays an
-    # ordinary polynomial that rem_monic accepts
-    first = shift(q_binomial_base(n, k, family.base), family.weight(n, m, k))
-    if reduce_by is None:
-        term = first * second
-    else:
-        term = rem_monic(rem_monic(first, reduce_by) * rem_monic(second, reduce_by), reduce_by)
+    term = shift(q_binomial_base(n, k, family.base), family.weight(n, m, k)) * second
     return -term if family.reflected and k % 2 else term
 
 
@@ -188,24 +275,38 @@ def truncated_q_trinomial(
     a: int,
     b: int,
     n: int,
-    reduce_by: LaurentPoly | None = None,
+    power: int | None = None,
 ) -> LaurentPoly:
     """The truncated q-trinomial sum at (an, bn).
 
-    reduce_by, a monic ordinary polynomial, returns the sum's Euclidean
-    remainder modulo it instead of the full sum; each summand's factors and
-    their product are reduced as they are built, so the products stay below
-    twice the modulus degree and the running sum below it.
+    With power=k it returns the sum's Euclidean remainder modulo
+    (q^n - 1)^k instead, built in that quotient ring from the shared row
+    streams (see the module docstring).
     """
     require_theorem_params(a, b, n)
     half = n // 2
     family = FAMILIES[kind]
     an, bn = a * n, b * n
     start = family.anchor(an, bn) - (half if family.reflected else 0)
-    total = ZERO
+    if power is None:
+        total = ZERO
+        for k in range(start, start + half + 1):
+            total = total + _summand(family, an, bn, k)
+        return total
+    if power < 1:
+        raise ValueError("modulus power must be positive")
+    full, band = _rows(n, power, None), _rows(n, power, half)
+    firsts, seconds = [], []
     for k in range(start, start + half + 1):
-        total = total + _summand(family, an, bn, k, reduce_by)
-    return total
+        first = full.entry(an, k)
+        if family.base == 2:
+            first = _taylor_q2(first)
+        first = _from_taylor(_taylor_shift(first, family.weight(an, bn, k)))
+        firsts.append(-first if family.reflected and k % 2 else first)
+        second = band.entry(2 * an - 2 * k, an - bn - k) if family.reflected else full.entry(an - k, bn + k)
+        seconds.append(_from_taylor(second))
+    # one fold of the whole sum, by the sparse modulus the checker shares
+    return rem_monic(dot(firsts, seconds), cyclotomic_power(n, power).sparse)
 
 
 def truncated_classical(variant: str, a: int, b: int, p: int) -> int:

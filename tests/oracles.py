@@ -17,7 +17,7 @@ p = 1 (mod n).  Run as a script it checks a ladder of large n:
 
 import math
 import sys
-from functools import cache
+from functools import cache, lru_cache
 
 from qtrinom.polyring import ONE, ZERO, LaurentPoly, exact_div, monomial, shift, substitute_power
 from qtrinom.qcombinatorics import binomial, q_binomial, q_binomial_base
@@ -262,6 +262,29 @@ _PAPER_FAMILIES = {
 }
 
 
+def _window(kind: TrinomialKind, an: int, bn: int, n: int) -> dict[int, tuple[int, int]]:
+    """The summation indices k of one truncated sum, each with its second
+    binomial factor (N, K)."""
+    d, half = an - bn, n // 2
+    if kind is TrinomialKind.round:
+        return {k: (an - k, bn + k) for k in range(half + 1)}
+    return {k: (2 * an - 2 * k, d - k) for k in range(d - half, d + 1)}
+
+
+@lru_cache(maxsize=1)
+def _theorem_tables(a: int, b: int, n: int, p: int, z: int):
+    """{s: {(N, K): [N K] at q^s}} at q = z + e, one table per base s, with
+    every entry that any of the six kinds reads at (a, b, n): the kinds at
+    one root share them."""
+    an, bn = a * n, b * n
+    needs: dict[int, set] = {1: set()}
+    for kind, (base, _, _, _) in _PAPER_FAMILIES.items():
+        window = _window(kind, an, bn, n)
+        needs[1].update(window.values())
+        needs.setdefault(base, set()).update({(an, k) for k in window} | {(an, bn)})
+    return {s: _binomials(_mono(z, s, p), entries, p) for s, entries in needs.items()}
+
+
 def theorem_sides_at(kind: TrinomialKind, a: int, b: int, n: int, p: int, z: int, correction: bool = True):
     """(lhs, rhs) of one theorem at q = z + e in F_p[e]/(e^2), each a pair
     (value, derivative) mod p.
@@ -273,17 +296,13 @@ def theorem_sides_at(kind: TrinomialKind, a: int, b: int, n: int, p: int, z: int
     rhs_theorem_by_kind(..., correction=False) does."""
     base, weight, pre, corrections = _PAPER_FAMILIES[kind]
     an, bn = a * n, b * n
-    d, half = an - bn, n // 2
+    d = an - bn
     reflected = kind is not TrinomialKind.round
-    ks = range(d - half, d + 1) if reflected else range(half + 1)
-    seconds = {k: (2 * an - 2 * k, d - k) if reflected else (an - k, bn + k) for k in ks}
-    needs = {1: set(seconds.values())}
-    needs.setdefault(base, set()).update({(an, k) for k in ks} | {(an, bn)})
-    tables = {s: _binomials(_mono(z, s, p), entries, p) for s, entries in needs.items()}
+    tables = _theorem_tables(a, b, n, p, z)
 
     lhs = (0, 0)
-    for k in ks:
-        term = _mul(_mul(_mono(z, weight(an, bn, k), p), tables[base][an, k], p), tables[1][seconds[k]], p)
+    for k, second in _window(kind, an, bn, n).items():
+        term = _mul(_mul(_mono(z, weight(an, bn, k), p), tables[base][an, k], p), tables[1][second], p)
         sign = -1 if reflected and k % 2 else 1
         lhs = (lhs[0] + sign * term[0]) % p, (lhs[1] + sign * term[1]) % p
 
@@ -315,15 +334,20 @@ def eval_dual(poly: LaurentPoly, z: int, p: int):
 
 
 def _ladder(ns: list[int], a: int = 4, b: int = 1) -> int:
-    # every kind at (a, b, n), at every primitive n-th root: all must agree
+    # every kind at (a, b, n), at every primitive n-th root: all must agree.
+    # The kinds run inside the loop over roots, so each root's tables are
+    # built once
     bad = 0
     for n in ns:
         p = dual_prime(n)
         roots = primitive_roots(n, p)
-        for kind in TrinomialKind:
-            misses = [z for z in roots if len(set(theorem_sides_at(kind, a, b, n, p, z))) != 1]
-            print(f"{kind.value} a={a} b={b} n={n} p={p}: {len(roots) - len(misses)}/{len(roots)} roots agree")
-            bad += len(misses)
+        misses = dict.fromkeys(TrinomialKind, 0)
+        for z in roots:
+            for kind in TrinomialKind:
+                misses[kind] += len(set(theorem_sides_at(kind, a, b, n, p, z))) != 1
+        for kind, missed in misses.items():
+            print(f"{kind.value} a={a} b={b} n={n} p={p}: {len(roots) - missed}/{len(roots)} roots agree")
+            bad += missed
     return bad
 
 

@@ -228,7 +228,7 @@ def test_theorem_valuation_is_two_except_at_one_point():
     for kind, a, b, n in _small_theorem_grid(12):
         if n == 1:
             continue
-        lhs = truncated_q_trinomial(kind, a, b, n, reduce_by=cyclotomic_power(n, 4).sparse)
+        lhs = truncated_q_trinomial(kind, a, b, n, power=4)
         rhs = rhs_theorem(kind, a, b, n)
         assert congruent(lhs, rhs, cyclotomic_power(n, 2)).holds, (kind, a, b, n)
         if congruent(lhs, rhs, cyclotomic_power(n, 3)).holds:
@@ -502,11 +502,18 @@ def test_invariant_checks_survive_python_O():
             "from qtrinom.congruence import _half, _straub_q",
             "from qtrinom.polyring import _unpack",
             "from qtrinom.qcombinatorics import _step",
-            "for check in (lambda: _half(3), lambda: _unpack(1 << 16, 1, 2), lambda: _unpack(-(1 << 16), 1, 2),",
-            "              lambda: _straub_q(2, 1, 2), lambda: _step((1,), 1, 2)):",
+            "from qtrinom.trinomials import _RowStream",
+            "def dropped_row_entry():",
+            "    stream = _RowStream(5, 2, None)",
+            "    stream.entry(20, 0)",
+            "    stream.entry(17, 2)",
+            "A = ArithmeticError",
+            "for check, error in ((lambda: _half(3), A), (lambda: _unpack(1 << 16, 1, 2), A),",
+            "                     (lambda: _unpack(-(1 << 16), 1, 2), A), (lambda: _straub_q(2, 1, 2), A),",
+            "                     (lambda: _step((1,), 1, 2), A), (dropped_row_entry, LookupError)):",
             "    try:",
             "        check()",
-            "    except ArithmeticError:",
+            "    except error:",
             "        continue",
             "    raise SystemExit('invariant not enforced')",
         ]

@@ -11,11 +11,17 @@ from qtrinom.polyring import (
     NegativeExponent,
     NonExactDivision,
     NotMonic,
+    _from_taylor,
     _mul_kronecker,
     _mul_schoolbook,
     _pack,
     _power_of_qn_minus_one,
+    _taylor,
+    _taylor_add,
+    _taylor_q2,
+    _taylor_shift,
     _unpack,
+    dot,
     eval_at_one,
     exact_div,
     from_text,
@@ -331,3 +337,35 @@ def digit_vectors(draw):
 def test_unpack_inverts_pack(wc):
     w, c = wc
     assert _unpack(_pack(c, w), w, len(c)) == list(c)
+
+
+@given(st.lists(st.tuples(polys, polys), max_size=8))
+def test_dot_is_the_sum_of_products(pairs):
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    assert dot(xs, ys) == sum((x * y for x, y in pairs), ZERO)
+
+
+@pytest.mark.parametrize("bits", [3, 7, 11, 63, 123])
+def test_dot_at_the_digit_bound(bits):
+    # equal extreme products add up in every place, so the centre coefficient
+    # of the sum is as large as the digit width allows; at these bit lengths
+    # the width has no slack from rounding up to whole bytes
+    top = (1 << bits) - 1
+    x = LaurentPoly(-3, [top] * 255)
+    square = LaurentPoly(-6, _mul_schoolbook(x.coeffs, x.coeffs))
+    for count in (1, 2, 8):
+        assert dot([x] * count, [x] * count) == square * count
+        assert dot([x] * count, [-x] * count) == -square * count
+
+
+@given(ordinary_polys, ordinary_polys, st.integers(1, 9), st.integers(1, 4), st.integers(0, 100))
+def test_quotient_ring_operations_match_rem_monic(x, y, n, k, j):
+    # the Taylor form of Z[q]/((q^n - 1)^k) against long division: the form
+    # and back is the remainder, and add, q^j and q -> q^2 act on remainders
+    m = (monomial(n) - ONE) ** k
+    tx, ty = _taylor(x, n, k), _taylor(y, n, k)
+    assert _from_taylor(tx) == rem_monic(x, m)
+    assert _from_taylor(_taylor_add(tx, ty)) == rem_monic(x + y, m)
+    assert _from_taylor(_taylor_shift(tx, j)) == rem_monic(shift(x, j), m)
+    assert _from_taylor(_taylor_q2(tx)) == rem_monic(substitute_power(x, 2), m)

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from oracles import classical_trinomial_alt, classical_trinomial_expand, widened_truncated_sum
 from qtrinom.polyring import ONE, ZERO, eval_at_one, make_poly, monomial, rem_monic
 from qtrinom.qcombinatorics import q_binomial, q_binomial_base
+from qtrinom import trinomials
 from qtrinom.trinomials import (
+    DroppedRowEntry,
     InvalidParameters,
     NotPrime,
     TrinomialKind,
@@ -102,9 +104,47 @@ def test_reduced_truncated_sum_is_the_remainder(kind, b, gap, n, power):
     # gives the Euclidean remainder of the fully expanded sum
     a = b + gap
     m = (monomial(n) - ONE) ** power
-    reduced = truncated_q_trinomial(kind, a, b, n, reduce_by=m)
+    reduced = truncated_q_trinomial(kind, a, b, n, power=power)
     assert reduced == rem_monic(truncated_q_trinomial(kind, a, b, n), m)
     assert reduced.degree < m.degree
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(1, 16),
+    st.integers(1, 3),
+    st.lists(
+        st.tuples(
+            st.sampled_from(ALL_KINDS),
+            st.integers(2, 6).flatmap(lambda a: st.tuples(st.just(a), st.integers(1, a - 1))),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_row_streams_keep_what_later_sums_read(n, power, draws):
+    # the row streams only move forward and drop what the FAMILIES rows never
+    # read; from empty streams, any order of (kind, a, b) at one n must still
+    # find every entry it reads (a dropped one raises DroppedRowEntry)
+    m = (monomial(n) - ONE) ** power
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trinomials, "_ROWS", {})
+        for kind, (a, b) in draws:
+            reduced = truncated_q_trinomial(kind, a, b, n, power=power)
+            assert reduced == rem_monic(truncated_q_trinomial(kind, a, b, n), m), (kind, a, b, n, power)
+
+
+def test_ring_power_must_be_positive():
+    with pytest.raises(ValueError):
+        truncated_q_trinomial(TrinomialKind.round, 2, 1, 3, power=0)
+
+
+def test_row_stream_raises_for_a_dropped_entry():
+    stream = trinomials._RowStream(5, 2, None)
+    stream.entry(20, 0)
+    assert stream.entry(15, 4) is not None  # every entry of a row an is kept
+    with pytest.raises(DroppedRowEntry):
+        stream.entry(17, 2)
 
 
 def test_widened_window_recovers_untruncated():
