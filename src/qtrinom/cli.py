@@ -14,12 +14,10 @@ internal fault (the reports before it are still emitted), and 141
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 from .congruence import INT, TARGETS, CongruenceReport, VerificationTask, run_task
@@ -56,15 +54,24 @@ class TaskFailed(Exception):
         super().__init__(f"{task.target} {params}: {type(exc).__name__}: {exc}")
 
 
-@dataclass
 class RunConfig:
-    targets: list[str]
-    # each grid parameter's values, keyed by its name in TargetSpec.params
-    grid: dict[str, list[int]] = field(default_factory=dict)
-    format: str = "text"
-    jobs: int = 1
-    fail_fast: bool = False
-    out: str | None = None
+    """The options of one verify run; a plain class, as callers set fields."""
+
+    def __init__(self, targets: list[str], grid: dict[str, list[int]] | None = None, format: str = "text",
+                 jobs: int = 1, fail_fast: bool = False, out: str | None = None):
+        self.targets = targets
+        # each grid parameter's values, keyed by its name in TargetSpec.params
+        self.grid = {} if grid is None else grid
+        self.format = format
+        self.jobs = jobs
+        self.fail_fast = fail_fast
+        self.out = out
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is RunConfig else NotImplemented
+
+    def __repr__(self):
+        return f"RunConfig({', '.join(f'{name}={value!r}' for name, value in vars(self).items())})"
 
 
 def parse_int_list(spec: str, flag: str) -> list[int]:
@@ -235,8 +242,10 @@ def _on_stream(op, *args):
 
 def _emit_stream(reports: Iterable[CongruenceReport], fmt: str, stream: IO[str], fail_fast: bool) -> int:
     any_failed = False
-    writer = csv.writer(stream, lineterminator="\n")
     if fmt == "csv":
+        import csv
+
+        writer = csv.writer(stream, lineterminator="\n")
         _on_stream(writer.writerow, CSV_COLUMNS)
     for report in reports:
         if fmt == "csv":

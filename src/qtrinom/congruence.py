@@ -21,10 +21,8 @@ verify(target, **params), for example verify("theorem-a", a=2, b=1, n=2):
 """
 from __future__ import annotations
 
-import logging
 import math
 import time
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .cyclotomic import Modulus, cyclotomic_power
@@ -54,23 +52,28 @@ from .trinomials import (
     vartheta,
 )
 
-log = logging.getLogger(__name__)
-
 
 def _sort_key(self):
     return (self.target, tuple(sorted(self.params.items())))
 
 
-@dataclass(frozen=True)
-class VerificationTask:
+class _Task(NamedTuple):
     target: str
-    params: dict[str, int] = field(default_factory=dict)
+    params: dict[str, int]
+
+
+class VerificationTask(_Task):
+    """One target at one grid point; params defaults to a fresh empty dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, target: str, params: dict[str, int] | None = None):
+        return super().__new__(cls, target, {} if params is None else params)
 
     sort_key = _sort_key
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """Outcome of one verification: holds iff the residual is zero.
 
     modulus is (n, k) for checks modulo Phi_n(q)^k, (p, k) for integer
@@ -115,7 +118,11 @@ def rhs_theorem(kind: TrinomialKind, a: int, b: int, n: int) -> LaurentPoly:
     if kind is TrinomialKind.tau0 and a * b != an:
         # the two candidate prefactor exponents (ab-bn vs an-bn) disagree
         # here; the verified reading is (an-bn)(an+bn+1)/2
-        log.info("tau0 prefactor exponents differ at a=%d b=%d n=%d; using (an-bn)", a, b, n)
+        import logging
+
+        logging.getLogger(__name__).info(
+            "tau0 prefactor exponents differ at a=%d b=%d n=%d; using (an-bn)", a, b, n
+        )
     k = family.anchor(an, bn)
     pre = monomial(family.weight(an, bn, k), -1 if k % 2 else 1)
     brace = ONE - sum((ONE - c(n) for c in family.corrections), ZERO) * (family.base * (a - b))

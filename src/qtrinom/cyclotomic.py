@@ -8,7 +8,6 @@ Both Phi_n and each Modulus are cached per process.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .polyring import ONE, LaurentPoly, exact_div, monomial
@@ -63,13 +62,28 @@ def cyclotomic(n: int) -> LaurentPoly:
     return result
 
 
-@dataclass(frozen=True)
 class Modulus:
-    """An expanded Phi_n(q)^k kept together with its (n, k) metadata."""
+    """An expanded Phi_n(q)^k kept together with its (n, k) metadata.
 
-    n: int
-    k: int
-    poly: LaurentPoly = field(compare=False)
+    Moduli are equal when their (n, k) are, since (n, k) fixes poly.  A
+    plain class rather than a NamedTuple, because sparse is built lazily.
+    """
+
+    def __init__(self, n: int, k: int, poly: LaurentPoly):
+        self.n = n
+        self.k = k
+        self.poly = poly
+
+    def __eq__(self, other):
+        if other.__class__ is not Modulus:
+            return NotImplemented
+        return (self.n, self.k) == (other.n, other.k)
+
+    def __hash__(self):
+        return hash((self.n, self.k))
+
+    def __repr__(self):
+        return f"Modulus(n={self.n!r}, k={self.k!r}, poly={self.poly!r})"
 
     @cached_property
     def sparse(self) -> LaurentPoly:

@@ -8,14 +8,16 @@ multiplication by 1 - q^up followed by an exact division by 1 - q^down
     down a diagonal  [n j] = [n-1 j-1] (1 - q^n)       / (1 - q^j)
     down a column    [n j] = [n-1 j]   (1 - q^n)       / (1 - q^(n-j))
 
-Every step is kept in a process-wide memo shared by all verification tasks.
-A request walks from the cached entry the fewest steps away: the nearest
-one on its own row, starting from [n 0] = 1, or one on an earlier row when
-that is closer.  Nothing off that walk is computed, so [N M] never fills
-the diamond of rows below N.  The memo key is (n, min(m, n-m)) since [n m]
-and [n n-m] are the same polynomial.  Out-of-range m yields the zero
-polynomial.  A binomial in base q^s is not stored: it is substituted on
-demand, q -> q^s, from the one memo entry [n m]_q.
+Each requested entry is kept in a process-wide memo shared by all
+verification tasks; the steps on the way to it are not, so the memo holds
+one entry per distinct request.  A request walks from the cached entry the
+fewest steps away: the nearest one on its own row, starting from [n 0] = 1,
+or one on an earlier row when that is closer.  Nothing off that walk is
+computed, so [N M] never fills the diamond of rows below N.  The memo key
+is (n, min(m, n-m)) since [n m] and [n n-m] are the same polynomial.
+Out-of-range m yields the zero polynomial.  A binomial in base q^s is not
+stored: it is substituted on demand, q -> q^s, from the one memo entry
+[n m]_q.
 """
 from __future__ import annotations
 
@@ -70,7 +72,7 @@ def q_binomial(n: int, m: int) -> LaurentPoly:
             j += 1
             up, down = n - j + 1, j
         value = LaurentPoly(0, _step(value.coeffs, up, down))
-        _QBINOM[nn, min(j, nn - j)] = value
+    _QBINOM[n, m] = value
     return value
 
 

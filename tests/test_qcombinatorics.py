@@ -100,17 +100,19 @@ def test_walk_resumes_exactly(requests):
         assert all(0 < j <= n - j for n, j in qcombinatorics._QBINOM)
 
 
-def test_walk_stores_only_its_own_steps(monkeypatch):
+def test_walk_keeps_only_requested_entries(monkeypatch):
+    # a walk keeps the entry it was asked for, not the steps on the way
     monkeypatch.setattr(qcombinatorics, "_QBINOM", {})
     assert q_binomial(20, 12) == q_binomial_pascal(20, 12)
-    row = {(20, j) for j in range(1, 9)}
-    assert set(qcombinatorics._QBINOM) == row
-    # two rows down: one diagonal step to [21 9], one column step to [22 9]
+    assert set(qcombinatorics._QBINOM) == {(20, 8)}
+    # two rows down, from [20 8]: one diagonal step and one column step
     assert q_binomial(22, 9) == q_binomial_pascal(22, 9)
-    assert set(qcombinatorics._QBINOM) == row | {(21, 9), (22, 9)}
+    assert set(qcombinatorics._QBINOM) == {(20, 8), (22, 9)}
     # one step along the row
     assert q_binomial(22, 10) == q_binomial_pascal(22, 10)
-    assert set(qcombinatorics._QBINOM) == row | {(21, 9), (22, 9), (22, 10)}
+    assert set(qcombinatorics._QBINOM) == {(20, 8), (22, 9), (22, 10)}
+    for key, value in qcombinatorics._QBINOM.items():
+        assert value == q_binomial_pascal(*key), key
 
 
 def test_concurrent_memo_access(monkeypatch):
