@@ -99,13 +99,24 @@ class CongruenceOutcome(NamedTuple):
 
 def congruent(lhs: LaurentPoly, rhs: LaurentPoly, mod: Modulus) -> CongruenceOutcome:
     """Reduce lhs - rhs modulo mod.poly after clearing negative exponents."""
-    diff = lhs - rhs
-    cleared_shift = max(0, -diff.min_exponent) if diff else 0
-    cleared = shift(diff, cleared_shift)
-    # (q^n - 1)^k is a sparse multiple of Phi_n^k; folding by it first turns
-    # the long division against a dense modulus into one against k+1 terms.
-    # The final residual is unchanged (euclidean remainders are unique).
-    cleared = rem_monic(rem_monic(cleared, mod.sparse), mod.poly)
+    if lhs == rhs:
+        return CongruenceOutcome(True, ZERO, 0)
+    # the lowest exponent where the sides differ fixes the shift; the terms
+    # below it are equal on both sides, so they are dropped
+    lo = min(x.offset for x in (lhs, rhs) if x)
+    while lhs[lo] == rhs[lo]:
+        lo += 1
+    cleared_shift = max(0, -lo)
+    # (q^n - 1)^k is a sparse multiple of Phi_n^k; folding each side by it
+    # first turns the long division against a dense modulus into one against
+    # k+1 terms.  Euclidean remainders are linear and unique, so the residual
+    # is that of the full difference
+    def folded(x: LaurentPoly) -> LaurentPoly:
+        if lo > x.offset:
+            x = LaurentPoly(lo, x.coeffs[lo - x.offset :])
+        return rem_monic(shift(x, cleared_shift), mod.sparse)
+
+    cleared = rem_monic(folded(lhs) - folded(rhs), mod.poly)
     return CongruenceOutcome(cleared.is_zero(), cleared, cleared_shift)
 
 

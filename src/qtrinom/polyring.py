@@ -5,7 +5,9 @@ present, possibly negative) plus a dense tuple of integer coefficients for
 exponents ``offset, offset+1, ...``.  Values are immutable and always kept
 in canonical form: the zero polynomial is ``offset=0, coeffs=()``, and a
 nonzero polynomial has nonzero first and last coefficients, so structural
-equality is semantic equality.
+equality is semantic equality.  The constructor canonicalises; results that
+are canonical by construction (shifts, negations, products over Z, whose end
+coefficients are products of nonzero ends) skip it through _rebuild.
 
 Coefficients are plain Python ints; all arithmetic is exact at any
 magnitude.  Large products are computed by Kronecker substitution (packing
@@ -24,9 +26,10 @@ the basis change.
 from __future__ import annotations
 
 import re
+import sys
 from itertools import accumulate, repeat
 from math import comb
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 
@@ -109,7 +112,7 @@ class LaurentPoly:
     # ---- ring operations ----
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.offset, [-c for c in self.coeffs])
+        return _rebuild(self.offset, tuple(map(neg, self.coeffs)))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -125,7 +128,7 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return ZERO
-            return LaurentPoly(self.offset, [c * other for c in self.coeffs])
+            return _rebuild(self.offset, tuple(map(other.__mul__, self.coeffs)))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -136,12 +139,10 @@ class LaurentPoly:
         off = self.offset + other.offset
         if len(a) == 1:
             c = a[0]
-            if c == 1:
-                return LaurentPoly(off, b)
-            return LaurentPoly(off, [c * y for y in b])
+            return _rebuild(off, b if c == 1 else tuple(map(c.__mul__, b)))
         if len(a) * len(b) <= _SCHOOLBOOK_LIMIT:
-            return LaurentPoly(off, _mul_schoolbook(a, b))
-        return LaurentPoly(off, _mul_kronecker(a, b))
+            return _rebuild(off, tuple(_mul_schoolbook(a, b)))
+        return _rebuild(off, tuple(_mul_kronecker(a, b)))
 
     __rmul__ = __mul__
 
@@ -253,6 +254,9 @@ def _pack(coeffs: Sequence[int], w: int) -> int:
     return int.from_bytes(b"".join(digits), "little") - _half_digits(w, len(coeffs))
 
 
+_LITTLE = sys.byteorder == "little"
+
+
 def _unpack(n: int, w: int, count: int) -> list[int]:
     """The count coefficients c_i in (-B/2, B/2) with n = sum_i c_i B^i."""
     n += _half_digits(w, count)
@@ -261,7 +265,14 @@ def _unpack(n: int, w: int, count: int) -> list[int]:
         raise ArithmeticError("Kronecker digit bound exceeded")
     raw = n.to_bytes(w * count, "little")
     half = 1 << (8 * w - 1)
-    return [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * count, w)]
+    if w > 8:
+        return [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * count, w)]
+    # byte t of each digit goes to its place in a native 8-byte word, so one
+    # memoryview cast reads every digit in C
+    words = bytearray(8 * count)
+    for t in range(w):
+        words[t if _LITTLE else 7 - t :: 8] = raw[t::w]
+    return list(map(sub, memoryview(words).cast("Q"), repeat(half)))
 
 
 # ---- two-term factors (1 - q^up) / (1 - q^down) ----
@@ -290,7 +301,7 @@ def shift(x: LaurentPoly, d: int) -> LaurentPoly:
     """Multiply by q^d."""
     if not x.coeffs:
         return ZERO
-    return LaurentPoly(x.offset + d, x.coeffs)
+    return _rebuild(x.offset + d, x.coeffs)
 
 
 def substitute_power(x: LaurentPoly, s: int) -> LaurentPoly:

@@ -5,12 +5,16 @@ summation lemmas (congruence._lemma_sum) and one for the theorem
 right-hand sides (congruence.rhs_theorem); plus the truncated q-trinomial
 sum over a widened window (trinomials.truncated_q_trinomial), and the
 lemma sides times the product of their denominators, which must give the
-same verdicts as the sides themselves.
+same verdicts as the sides themselves.  Two more check the kernels: a
+digit-by-digit decode of Kronecker integers (polyring._unpack) and the
+congruence check over the full difference of the sides
+(congruence.congruent).
 
 The last section is a second opinion that shares no arithmetic with
 qtrinom: both sides of each theorem evaluated at q = z + e in the dual
 numbers F_p[e]/(e^2), z a primitive n-th root of unity modulo a prime
-p = 1 (mod n).  Run as a script it checks a ladder of large n:
+p = 1 (mod n).  Run as a script it checks a ladder of large n, where the
+exact path's own sides must take the same values:
 
     PYTHONPATH=src python tests/oracles.py 60 80 100
 """
@@ -19,9 +23,10 @@ import math
 import sys
 from functools import cache, lru_cache
 
-from qtrinom.polyring import ONE, ZERO, LaurentPoly, exact_div, monomial, shift, substitute_power
+from qtrinom.congruence import rhs_theorem
+from qtrinom.polyring import ONE, ZERO, LaurentPoly, exact_div, monomial, rem_monic, shift, substitute_power
 from qtrinom.qcombinatorics import binomial, q_binomial, q_binomial_base
-from qtrinom.trinomials import FAMILIES, TrinomialKind, _half, _summand, theta, vartheta
+from qtrinom.trinomials import FAMILIES, TrinomialKind, _half, _summand, theta, truncated_q_trinomial, vartheta
 
 
 def classical_trinomial_alt(n: int, m: int) -> int:
@@ -136,15 +141,42 @@ def rhs_theorem_by_kind(kind: TrinomialKind, a: int, b: int, n: int, correction:
     return pre * binom * brace
 
 
+def unpack_by_shifts(n: int, w: int, count: int) -> list[int]:
+    """The count lowest balanced digits of n in base B = 2^(8w), each in
+    [-B/2, B/2): mask off a digit, re-centre it, subtract it and shift.  No
+    offset digits and no byte strings, unlike polyring._unpack."""
+    bits = 8 * w
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    digits = []
+    for _ in range(count):
+        d = n & mask
+        if d >= half:
+            d -= 1 << bits
+        digits.append(d)
+        n = (n - d) >> bits
+    return digits
+
+
+def congruent_by_difference(lhs: LaurentPoly, rhs: LaurentPoly, mod) -> tuple[bool, LaurentPoly, int]:
+    """(holds, residual, cleared_shift) of congruence.congruent from the full
+    difference: cleared by the least power of q that makes it ordinary, then
+    one long division by the dense mod.poly, with no sparse fold."""
+    diff = lhs - rhs
+    cleared_shift = max(0, -diff.min_exponent) if diff else 0
+    residual = rem_monic(shift(diff, cleared_shift), mod.poly)
+    return residual.is_zero(), residual, cleared_shift
+
+
 # ---- both theorem sides at q = z + e over F_p ----
 #
 # If Phi_n^2 divides q^M (lhs - rhs) over Z, then Phi_n(z) = 0 mod p makes
 # Phi_n(z + e)^2 = 0 in F_p[e]/(e^2), and q^M is a unit there, so lhs and
 # rhs agree in value and derivative at q = z + e.  The test is one-sided: a
 # congruence that fails should give a difference at some root, but need not.
-# A dual number is a pair (value, derivative) of residues mod p.  Nothing
-# below forms a LaurentPoly (eval_dual only reads the coefficients of one it
-# is given), so no product, division or reduction of qtrinom's is involved.
+# A dual number is a pair (value, derivative) of residues mod p.  The
+# oracle's sides form no LaurentPoly (eval_dual only reads the coefficients
+# of one it is given), so no product, division or reduction of qtrinom's is
+# involved; only exact_sides, the exact path under test, uses them.
 
 
 def _mul(x, y, p):
@@ -333,18 +365,31 @@ def eval_dual(poly: LaurentPoly, z: int, p: int):
     return value % p, deriv * pow(z, -1, p) % p
 
 
+def exact_sides(kind: TrinomialKind, a: int, b: int, n: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """The exact path's lhs (in the ring, power 2) and rhs of one theorem, the
+    rhs taken modulo (q^n - 1)^2 so that evaluating it stays cheap.  The
+    modulus vanishes to second order at every q = z + e, so neither side's
+    value there changes; the rhs is cleared by q^m first and shifted back."""
+    rhs = rhs_theorem(kind, a, b, n)
+    m = max(0, -rhs.min_exponent)
+    reduced = shift(rem_monic(shift(rhs, m), (monomial(n) - ONE) ** 2), -m)
+    return truncated_q_trinomial(kind, a, b, n, power=2), reduced
+
+
 def _ladder(ns: list[int], a: int = 4, b: int = 1) -> int:
-    # every kind at (a, b, n), at every primitive n-th root: all must agree.
-    # The kinds run inside the loop over roots, so each root's tables are
-    # built once
+    # every kind at (a, b, n), at every primitive n-th root: the oracle's two
+    # sides and the exact path's two sides must all agree.  The kinds run
+    # inside the loop over roots, so each root's tables are built once
     bad = 0
     for n in ns:
         p = dual_prime(n)
         roots = primitive_roots(n, p)
+        exact = {kind: exact_sides(kind, a, b, n) for kind in TrinomialKind}
         misses = dict.fromkeys(TrinomialKind, 0)
         for z in roots:
             for kind in TrinomialKind:
-                misses[kind] += len(set(theorem_sides_at(kind, a, b, n, p, z))) != 1
+                values = {*theorem_sides_at(kind, a, b, n, p, z), *(eval_dual(x, z, p) for x in exact[kind])}
+                misses[kind] += len(values) != 1
         for kind, missed in misses.items():
             print(f"{kind.value} a={a} b={b} n={n} p={p}: {len(roots) - missed}/{len(roots)} roots agree")
             bad += missed

@@ -513,20 +513,25 @@ def test_unwritable_output_exits_2_without_traceback(argv, where):
 def test_verify_imports_only_what_the_run_uses():
     # a cold `verify` pays for no module it does not use: no dataclasses (and
     # the inspect, ast and dis it imports), logging only for the tau0 note,
-    # csv only for --format csv, multiprocessing only for --jobs > 1.  -S
-    # keeps site-packages' .pth hooks out of what is measured
+    # csv only for --format csv, multiprocessing only for --jobs > 1, and
+    # neither array nor struct for the Kronecker word decode, which the
+    # theorem-a rhs product at n=12 reaches.  -S keeps site-packages' .pth
+    # hooks out of what is measured
     script = (
         "import runpy, sys\n"
-        "sys.argv = ['qtrinom', 'verify', '--target', 'babbage', '--p', '3', '--format', 'json']\n"
-        "try:\n"
-        "    runpy.run_module('qtrinom.cli', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n"
-        "unused = ('dataclasses', 'inspect', 'logging', 'csv', 'multiprocessing')\n"
+        "for args in (['--target', 'babbage', '--p', '3'], ['--target', 'theorem-a', '--n', '12', '--a', '3', '--b', '1']):\n"
+        "    sys.argv = ['qtrinom', 'verify', *args, '--format', 'json']\n"
+        "    try:\n"
+        "        runpy.run_module('qtrinom.cli', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+        "unused = ('dataclasses', 'inspect', 'logging', 'csv', 'multiprocessing', 'array', 'struct')\n"
         "print(*(name for name in unused if name in sys.modules), file=sys.stderr)\n"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", script], env=_cli_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["holds"]
+    reports = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["target"] for r in reports] == ["babbage", "theorem-a"]
+    assert all(r["holds"] for r in reports)
     assert proc.stderr == "\n"

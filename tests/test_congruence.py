@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import lemma_sides_cleared, lemma_sum, rhs_theorem_by_kind
+from oracles import congruent_by_difference, lemma_sides_cleared, lemma_sum, rhs_theorem_by_kind
 
 import qtrinom.congruence as congruence_module
 from qtrinom.congruence import (
@@ -123,16 +123,42 @@ def test_congruent_is_symmetric_on_arbitrary_pairs(n, x, y):
 @given(st.integers(1, 10), st.integers(1, 3), small_polys, small_polys)
 def test_congruent_matches_single_stage_reduction(n, k, x, y):
     # the sparse (q^n - 1)^k prefold must not change the residual
-    from qtrinom.polyring import shift
-
     mod = cyclotomic_power(n, k)
-    out = congruent(x, y, mod)
-    diff = x - y
-    m = max(0, -diff.min_exponent) if not diff.is_zero() else 0
-    direct = rem_monic(shift(diff, m), mod.poly)
-    assert out.residual == direct
-    assert out.cleared_shift == m
-    assert out.holds == direct.is_zero()
+    assert tuple(congruent(x, y, mod)) == congruent_by_difference(x, y, mod)
+
+
+@st.composite
+def shared_prefix_sides(draw):
+    """(lhs, rhs) equal below some exponent, often negative: sides that differ
+    after a shared prefix, equal sides, sides that differ only at q^0, sides
+    that differ by a multiple of Phi_n^k, and zero sides."""
+    n, k = draw(st.integers(1, 10)), draw(st.integers(1, 3))
+    prefix = LaurentPoly(draw(st.integers(-12, 0)), draw(st.lists(st.integers(-9, 9), max_size=8)))
+    start = prefix.degree + 1 if prefix else draw(st.integers(-12, 0))
+    tails = st.builds(LaurentPoly, st.integers(start, start + 4), st.lists(st.integers(-9, 9), max_size=10))
+    lhs = prefix + draw(tails)
+    kind = draw(st.sampled_from(["tails", "equal", "q^0", "multiple", "zero"]))
+    if kind == "tails":
+        rhs = prefix + draw(tails)
+    elif kind == "equal":
+        rhs = lhs
+    elif kind == "q^0":
+        rhs = lhs + monomial(0, draw(st.integers(-9, 9).filter(bool)))
+    elif kind == "multiple":
+        # small_polys start at q^-6 at the lowest, so the prefix stays shared
+        rhs = lhs + shift(cyclotomic_power(n, k).poly * draw(small_polys), start + 6)
+    else:
+        lhs, rhs = draw(st.sampled_from([(lhs, ZERO), (ZERO, lhs), (ZERO, ZERO)]))
+    return n, k, lhs, rhs
+
+
+@given(shared_prefix_sides())
+def test_congruent_drops_a_shared_prefix(case):
+    # congruent folds each side on its own after dropping the terms the sides
+    # share; holds, residual and cleared_shift are those of the difference
+    n, k, lhs, rhs = case
+    mod = cyclotomic_power(n, k)
+    assert tuple(congruent(lhs, rhs, mod)) == congruent_by_difference(lhs, rhs, mod)
 
 
 # ---- theorem right-hand sides ----

@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import unpack_by_shifts
 from qtrinom.polyring import (
+    _SCHOOLBOOK_LIMIT,
     ONE,
     ZERO,
     LaurentPoly,
     NegativeExponent,
     NonExactDivision,
     NotMonic,
+    _half_digits,
     _from_taylor,
     _mul_kronecker,
     _mul_schoolbook,
@@ -326,17 +329,77 @@ def test_mul_kronecker_at_the_digit_bound(bits, length, signs):
 @st.composite
 def digit_vectors(draw):
     # w-byte digits and coefficients strictly inside (-B/2, B/2), B = 2^(8w),
-    # the extreme digits +-(B/2 - 1) drawn often
-    w = draw(st.integers(1, 4))
+    # the extreme digits +-(B/2 - 1) drawn often; w = 1..8 takes _unpack's
+    # word path, w = 9..12 its per-digit path
+    w = draw(st.integers(1, 12))
     top = (1 << (8 * w - 1)) - 1
     coeff = st.one_of(st.sampled_from([top, -top, 0]), st.integers(-top, top))
-    return w, draw(st.lists(coeff, min_size=1, max_size=40))
+    return w, draw(st.lists(coeff, min_size=0, max_size=64))
 
 
 @given(digit_vectors())
 def test_unpack_inverts_pack(wc):
     w, c = wc
-    assert _unpack(_pack(c, w), w, len(c)) == list(c)
+    n = _pack(c, w)
+    assert _unpack(n, w, len(c)) == list(c) == unpack_by_shifts(n, w, len(c))
+
+
+@pytest.mark.parametrize("w", range(1, 13))
+def test_unpack_matches_the_shift_decode(w):
+    # every count 0..64 at the extreme digits, alternating in sign, then the
+    # ends of the decodable range: the offset digits all 0 (each digit -B/2)
+    # or all B - 1, and one past either end, which must raise
+    top = (1 << (8 * w - 1)) - 1
+    for count in range(65):
+        c = [top if i % 2 else -top for i in range(count)]
+        assert _unpack(_pack(c, w), w, count) == c == unpack_by_shifts(_pack(c, w), w, count)
+        low = -_half_digits(w, count)
+        high = (1 << (8 * w * count)) - 1 + low
+        for n in (low, high):
+            assert _unpack(n, w, count) == unpack_by_shifts(n, w, count)
+        for n in (low - 1, high + 1):
+            with pytest.raises(ArithmeticError):
+                _unpack(n, w, count)
+
+
+def _check_canonical(result, reference):
+    # canonical: ZERO, or a tuple with nonzero ends; and the same value the
+    # canonicalising constructor gives
+    assert type(result.coeffs) is tuple
+    assert (result.offset, result.coeffs) == (0, ()) or (result.coeffs[0] and result.coeffs[-1])
+    assert result == reference
+    assert result == LaurentPoly(result.offset, list(result.coeffs))
+
+
+@given(polys, st.integers(-40, 40), coeff_st)
+def test_shift_neg_and_scalar_results_are_canonical(x, d, c):
+    _check_canonical(shift(x, d), LaurentPoly(x.offset + d, list(x.coeffs)))
+    _check_canonical(-x, LaurentPoly(x.offset, [-v for v in x.coeffs]))
+    _check_canonical(x * c, LaurentPoly(x.offset, [v * c for v in x.coeffs]))
+    _check_canonical(c * x, LaurentPoly(x.offset, [c * v for v in x.coeffs]))
+    for k in (c, 1):
+        _check_canonical(x * monomial(d, k), LaurentPoly(x.offset + d, [k * v for v in x.coeffs]))
+
+
+@st.composite
+def product_operands(draw):
+    # two polynomials of at least two terms, their lengths on either side of
+    # the kernel choice: a product of lengths above the limit takes Kronecker
+    short = draw(st.integers(2, 16))
+    limit = _SCHOOLBOOK_LIMIT // short
+    long = draw(st.integers(limit + 1, limit + 64) | st.integers(2, limit))
+    operands = []
+    for length in (short, long):
+        coeffs = draw(st.lists(coeff_st, min_size=length, max_size=length))
+        coeffs[0], coeffs[-1] = coeffs[0] or 1, coeffs[-1] or -1
+        operands.append(LaurentPoly(draw(st.integers(-32, 32)), coeffs))
+    return operands
+
+
+@given(product_operands())
+def test_product_results_are_canonical(operands):
+    x, y = operands
+    _check_canonical(x * y, LaurentPoly(x.offset + y.offset, _mul_schoolbook(x.coeffs, y.coeffs)))
 
 
 @given(st.lists(st.tuples(polys, polys), max_size=8))
