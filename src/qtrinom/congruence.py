@@ -122,7 +122,8 @@ def congruent(lhs: LaurentPoly, rhs: LaurentPoly, mod: Modulus) -> CongruenceOut
 
 def rhs_theorem(kind: TrinomialKind, a: int, b: int, n: int) -> LaurentPoly:
     """The congruence right-hand side of one family, built from its FAMILIES
-    row as pre * [an bn]_(q^s) * brace (see trinomials.Family)."""
+    row as pre * [an bn]_(q^s) * brace (see trinomials.Family).  The
+    monomial pre scales the short brace, so the binomial takes one product."""
     require_theorem_params(a, b, n)
     family = FAMILIES[kind]
     an, bn = a * n, b * n
@@ -137,7 +138,7 @@ def rhs_theorem(kind: TrinomialKind, a: int, b: int, n: int) -> LaurentPoly:
     k = family.anchor(an, bn)
     pre = monomial(family.weight(an, bn, k), -1 if k % 2 else 1)
     brace = ONE - sum((ONE - c(n) for c in family.corrections), ZERO) * (family.base * (a - b))
-    return pre * q_binomial_base(an, bn, family.base) * brace
+    return q_binomial_base(an, bn, family.base) * (pre * brace)
 
 
 def _lemma_sum(n: int, weight_exp) -> LaurentPoly:

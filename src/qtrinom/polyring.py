@@ -12,16 +12,17 @@ coefficients are products of nonzero ends) skip it through _rebuild.
 Coefficients are plain Python ints; all arithmetic is exact at any
 magnitude.  Large products are computed by Kronecker substitution (packing
 the coefficient vector into one big integer), which hands the real work to
-CPython's big-int multiplication; dot sums many products before reading the
-digits back once.  A two-term factor (1 - q^up)/(1 - q^down) needs no
-product: _step applies it in linear time.
+CPython's big-int multiplication.  A two-term factor (1 - q^up)/(1 - q^down)
+needs no product: _step applies it in linear time.
 
 The quotient ring Z[q]/((q^n - 1)^k) has its own form: per residue class
 mod n, the Taylor coefficients at y = q^n = 1 (_taylor).  Multiplying by
 q^j and substituting q -> q^2 act on that form directly, and
 _from_taylor gives back the Euclidean remainder modulo (q^n - 1)^k, so
 rem_monic's closed form for that modulus is the one constructor followed by
-the basis change.
+the basis change.  _taylor_dot sums products of elements in that form by
+Kronecker substitution, evaluating each polynomial form at the digit base
+straight from its Taylor vectors, and reads the sum's digits back once.
 """
 from __future__ import annotations
 
@@ -319,23 +320,6 @@ def substitute_power(x: LaurentPoly, s: int) -> LaurentPoly:
     return _rebuild((x.offset if s > 0 else x.offset + len(coeffs) - 1) * s, tuple(out))
 
 
-def dot(xs: Iterable[LaurentPoly], ys: Iterable[LaurentPoly]) -> LaurentPoly:
-    """sum_i xs[i] * ys[i].  Every product is taken by Kronecker substitution
-    at one digit width, and the products are summed as integers, so the sum
-    is read back out of the digits once."""
-    pairs = [(x, y) for x, y in zip(xs, ys) if x.coeffs and y.coeffs]
-    if not pairs:
-        return ZERO
-    lo = min(x.offset + y.offset for x, y in pairs)
-    w = _digit_width(
-        max(max(map(abs, x.coeffs)) for x, _ in pairs),
-        max(max(map(abs, y.coeffs)) for _, y in pairs),
-        sum(min(len(x.coeffs), len(y.coeffs)) for x, y in pairs),
-    )
-    packed = sum((_pack(x.coeffs, w) * _pack(y.coeffs, w)) << (8 * w * (x.offset + y.offset - lo)) for x, y in pairs)
-    return LaurentPoly(lo, _unpack(packed, w, max(x.degree + y.degree for x, y in pairs) - lo + 1))
-
-
 def eval_at_one(x: LaurentPoly) -> int:
     """Value at q = 1, i.e. the sum of all coefficients."""
     return sum(x.coeffs)
@@ -482,28 +466,33 @@ def _from_taylor(taylor: Sequence[Sequence[int]]) -> LaurentPoly:
     return LaurentPoly(0, out)
 
 
-def _taylor_add(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [list(map(add, u, v)) for u, v in zip(x, y)]
-
-
 def _taylor_shift(taylor: Sequence[Sequence[int]], j: int) -> list[list[int]]:
-    """q^j times the element, j >= 0.  With j = u*n + r, every class gains
-    y^u = (1 + e)^u, so S_i gains sum_(l<i) C(u, i-l) S_l; class c then moves
-    to (c + r) mod n, and the r classes that wrap past q^n gain one more
-    y = 1 + e, so S_i gains S_(i-1) there."""
-    n = len(taylor[0])
+    """q^j times the element, j >= 0."""
+    zero = [0] * len(taylor[0])
+    return _taylor_step([zero] * len(taylor), taylor, j)
+
+
+def _taylor_step(x: Sequence[Sequence[int]], z: Sequence[Sequence[int]], j: int) -> list[list[int]]:
+    """x + q^j z, j >= 0, in one pass over z (the q-Pascal step).  With
+    j = u*n + r, every class of z gains y^u = (1 + e)^u, so S_i gains
+    sum_(l<i) C(u, i-l) S_l; class c then moves to (c + r) mod n, and the r
+    classes that wrap past q^n gain one more y = 1 + e, so S_i gains S_(i-1)
+    there."""
+    n = len(z[0])
     u, r = divmod(j, n)
     cut = n - r
-    out = []
-    for i, s in enumerate(taylor):
+    out, before = [], None
+    for i, s in enumerate(z):
         for l in range(i if u else 0):
-            c = comb(u, i - l)
-            s = list(map(add, s, map(c.__mul__, taylor[l])))
-        out.append(s[cut:] + s[:cut])
-    if r:
-        # top down, so out[i - 1] still holds S_(i-1) before its own wrap term
-        for i in range(len(out) - 1, 0, -1):
-            out[i][:r] = map(add, out[i][:r], out[i - 1][:r])
+            s = list(map(add, s, map(comb(u, i - l).__mul__, z[l])))
+        if r:
+            s = s[cut:] + s[:cut]
+        row = list(map(add, x[i], s))
+        if before is not None:
+            # before is S_(i-1) moved, not yet given its own wrap term
+            row[:r] = map(add, row[:r], before[:r])
+        out.append(row)
+        before = s if r else None
     return out
 
 
@@ -531,6 +520,37 @@ def _taylor_q2(taylor: Sequence[Sequence[int]]) -> list[list[int]]:
         out.append(row)
         wrapped_before = wrapped
     return out
+
+
+def _taylor_value(taylor: Sequence[Sequence[int]], bits: int) -> int:
+    """The polynomial form of the element at q = B = 2^bits, taken straight
+    from its Taylor vectors: sum_i S_i(B) (B^n - 1)^i, both sums by Horner's
+    rule (quadratic in n, faster than _pack for vectors this short)."""
+    value = 0
+    for s in reversed(taylor):
+        digits = 0
+        for c in reversed(s):
+            digits = (digits << bits) + c
+        value = (value << bits * len(s)) - value + digits
+    return value
+
+
+def _taylor_dot(xs: Sequence, ys: Sequence, signs: Sequence[int]) -> LaurentPoly:
+    """sum_i signs[i] X_i Y_i over the polynomial forms X_i, Y_i of ring
+    elements given by their Taylor vectors: an ordinary polynomial of degree
+    < 2kn - 1, not yet folded.  Every product is taken by Kronecker
+    substitution at one digit width and summed as an integer, so the sum is
+    read out of the digits once.  A form's coefficient sum_i +-C(i, s) S_i is
+    at most 2^k max|S| in size."""
+    k, n = len(xs[0]), len(xs[0][0])
+    w = _digit_width(
+        max(max(map(abs, s)) for x in xs for s in x) << k,
+        max(max(map(abs, s)) for y in ys for s in y) << k,
+        k * n * len(xs),
+    )
+    bits = 8 * w
+    total = sum(_taylor_value(x, bits) * _taylor_value(y, bits) * sign for x, y, sign in zip(xs, ys, signs))
+    return LaurentPoly(0, _unpack(total, w, 2 * k * n - 1))
 
 
 # ---- canonical text form ----

@@ -20,8 +20,9 @@ restarted: full rows for the first factors and round's second factors, and
 a band of width n//2 for the reflected second factors.  A stream keeps its
 current row and the entries that _read_by_families names, and drops the
 rest.  Weights and the base q^2 are applied in the ring, so each summand is
-one product of two polynomial forms of degree < kn (polyring.dot reads the
-products back out once for the whole sum), and the sum is folded once.
+one product of two ring elements, and polyring._taylor_dot takes the whole
+signed sum from their Taylor vectors, with no polynomial per summand; the
+sum is folded once.
 """
 from __future__ import annotations
 
@@ -33,11 +34,10 @@ from .polyring import (
     ONE,
     ZERO,
     LaurentPoly,
-    _from_taylor,
-    _taylor_add,
+    _taylor_dot,
     _taylor_q2,
     _taylor_shift,
-    dot,
+    _taylor_step,
     monomial,
     rem_monic,
     shift,
@@ -231,7 +231,7 @@ class _RowStream:
             # the new middle entry [big big/2] reads [big-1 big/2] = [big-1 big/2-1]
             prev = prev + prev[-1:]
         row = [prev[0]]
-        row += [_taylor_add(prev[j - 1], _taylor_shift(prev[j], j)) for j in range(1, len(prev))]
+        row += [_taylor_step(prev[j - 1], prev[j], j) for j in range(1, len(prev))]
         self.big, self.row = big, row
         for j, value in enumerate(row):
             if _read_by_families(self.n, big, j):
@@ -296,17 +296,16 @@ def truncated_q_trinomial(
     if power < 1:
         raise ValueError("modulus power must be positive")
     full, band = _rows(n, power, None), _rows(n, power, half)
-    firsts, seconds = [], []
+    firsts, seconds, signs = [], [], []
     for k in range(start, start + half + 1):
         first = full.entry(an, k)
         if family.base == 2:
             first = _taylor_q2(first)
-        first = _from_taylor(_taylor_shift(first, family.weight(an, bn, k)))
-        firsts.append(-first if family.reflected and k % 2 else first)
-        second = band.entry(2 * an - 2 * k, an - bn - k) if family.reflected else full.entry(an - k, bn + k)
-        seconds.append(_from_taylor(second))
+        firsts.append(_taylor_shift(first, family.weight(an, bn, k)))
+        seconds.append(band.entry(2 * an - 2 * k, an - bn - k) if family.reflected else full.entry(an - k, bn + k))
+        signs.append(-1 if family.reflected and k % 2 else 1)
     # one fold of the whole sum, by the sparse modulus the checker shares
-    return rem_monic(dot(firsts, seconds), cyclotomic_power(n, power).sparse)
+    return rem_monic(_taylor_dot(firsts, seconds, signs), cyclotomic_power(n, power).sparse)
 
 
 def truncated_classical(variant: str, a: int, b: int, p: int) -> int:

@@ -5,10 +5,11 @@ summation lemmas (congruence._lemma_sum) and one for the theorem
 right-hand sides (congruence.rhs_theorem); plus the truncated q-trinomial
 sum over a widened window (trinomials.truncated_q_trinomial), and the
 lemma sides times the product of their denominators, which must give the
-same verdicts as the sides themselves.  Two more check the kernels: a
-digit-by-digit decode of Kronecker integers (polyring._unpack) and the
-congruence check over the full difference of the sides
-(congruence.congruent).
+same verdicts as the sides themselves.  Three more check the kernels: a
+digit-by-digit decode of Kronecker integers (polyring._unpack), the sum
+of two quotient-ring elements in Taylor form (the add inside
+polyring._taylor_step) and the congruence check over the full difference
+of the sides (congruence.congruent).
 
 The last section is a second opinion that shares no arithmetic with
 qtrinom: both sides of each theorem evaluated at q = z + e in the dual
@@ -155,6 +156,12 @@ def unpack_by_shifts(n: int, w: int, count: int) -> list[int]:
         digits.append(d)
         n = (n - d) >> bits
     return digits
+
+
+def _taylor_add(x, y):
+    """The sum of two elements of Z[q]/((q^n - 1)^k) in Taylor form
+    (polyring._taylor): vector by vector, entry by entry."""
+    return [[a + b for a, b in zip(u, v)] for u, v in zip(x, y)]
 
 
 def congruent_by_difference(lhs: LaurentPoly, rhs: LaurentPoly, mod) -> tuple[bool, LaurentPoly, int]:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import unpack_by_shifts
+from oracles import _taylor_add, unpack_by_shifts
 from qtrinom.polyring import (
     _SCHOOLBOOK_LIMIT,
     ONE,
@@ -20,11 +20,11 @@ from qtrinom.polyring import (
     _pack,
     _power_of_qn_minus_one,
     _taylor,
-    _taylor_add,
+    _taylor_dot,
     _taylor_q2,
     _taylor_shift,
+    _taylor_step,
     _unpack,
-    dot,
     eval_at_one,
     exact_div,
     from_text,
@@ -402,33 +402,49 @@ def test_product_results_are_canonical(operands):
     _check_canonical(x * y, LaurentPoly(x.offset + y.offset, _mul_schoolbook(x.coeffs, y.coeffs)))
 
 
-@given(st.lists(st.tuples(polys, polys), max_size=8))
-def test_dot_is_the_sum_of_products(pairs):
-    xs = [x for x, _ in pairs]
-    ys = [y for _, y in pairs]
-    assert dot(xs, ys) == sum((x * y for x, y in pairs), ZERO)
+@st.composite
+def ring_dot_terms(draw):
+    # summands of a ring dot: Taylor vectors of any sign and size at one
+    # (n, k), and a sign for each product
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    digit = st.integers(-(1 << 70), 1 << 70) | st.integers(-3, 3)
+    element = st.lists(st.lists(digit, min_size=n, max_size=n), min_size=k, max_size=k)
+    return draw(st.lists(st.tuples(element, element, st.sampled_from((1, -1))), min_size=1, max_size=8))
+
+
+@given(ring_dot_terms())
+def test_dot_is_the_sum_of_products(terms):
+    xs, ys, signs = zip(*terms)
+    expected = sum((_from_taylor(x) * _from_taylor(y) * sign for x, y, sign in terms), ZERO)
+    assert _taylor_dot(xs, ys, signs) == expected
 
 
 @pytest.mark.parametrize("bits", [3, 7, 11, 63, 123])
 def test_dot_at_the_digit_bound(bits):
-    # equal extreme products add up in every place, so the centre coefficient
-    # of the sum is as large as the digit width allows; at these bit lengths
-    # the width has no slack from rounding up to whole bytes
-    top = (1 << bits) - 1
-    x = LaurentPoly(-3, [top] * 255)
-    square = LaurentPoly(-6, _mul_schoolbook(x.coeffs, x.coeffs))
-    for count in (1, 2, 8):
-        assert dot([x] * count, [x] * count) == square * count
-        assert dot([x] * count, [-x] * count) == -square * count
+    # Taylor vectors of alternating sign make every polynomial-form
+    # coefficient as large as k such vectors allow, and equal extreme
+    # products add up in every place.  k * n is 255 or just below, and the
+    # digits have bits - k bits, so 2^k max|S| has exactly bits bits and the
+    # width has no slack from rounding up to whole bytes when count is 1
+    for k in range(1, min(bits, 4)):
+        top = (1 << (bits - k)) - 1
+        x = [[(-1) ** i * top] * (255 // k) for i in range(k)]
+        form = _from_taylor(x)
+        square = LaurentPoly(0, _mul_schoolbook(form.coeffs, form.coeffs))
+        for count in (1, 2, 8):
+            for sign in (1, -1):
+                assert _taylor_dot([x] * count, [x] * count, [sign] * count) == square * (sign * count)
 
 
 @given(ordinary_polys, ordinary_polys, st.integers(1, 9), st.integers(1, 4), st.integers(0, 100))
 def test_quotient_ring_operations_match_rem_monic(x, y, n, k, j):
     # the Taylor form of Z[q]/((q^n - 1)^k) against long division: the form
-    # and back is the remainder, and add, q^j and q -> q^2 act on remainders
+    # and back is the remainder, and add, q^j and q -> q^2 act on remainders;
+    # the q-Pascal step x + q^j y is the add after the shift
     m = (monomial(n) - ONE) ** k
     tx, ty = _taylor(x, n, k), _taylor(y, n, k)
     assert _from_taylor(tx) == rem_monic(x, m)
     assert _from_taylor(_taylor_add(tx, ty)) == rem_monic(x + y, m)
     assert _from_taylor(_taylor_shift(tx, j)) == rem_monic(shift(x, j), m)
+    assert _taylor_step(tx, ty, j) == _taylor_add(tx, _taylor_shift(ty, j))
     assert _from_taylor(_taylor_q2(tx)) == rem_monic(substitute_power(x, 2), m)
