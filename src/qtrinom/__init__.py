@@ -9,6 +9,7 @@ from .polyring import (
     NotMonic,
     eval_at_one,
     exact_div,
+    fold,
     from_text,
     make_poly,
     monomial,

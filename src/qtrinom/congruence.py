@@ -32,6 +32,7 @@ from .polyring import (
     LaurentPoly,
     _step,
     exact_div,  # noqa: F401  unused here; perfbench/traced_child.py patches congruence.exact_div
+    fold,
     monomial,
     rem_monic,
     shift,
@@ -107,14 +108,13 @@ def congruent(lhs: LaurentPoly, rhs: LaurentPoly, mod: Modulus) -> CongruenceOut
     while lhs[lo] == rhs[lo]:
         lo += 1
     cleared_shift = max(0, -lo)
-    # (q^n - 1)^k is a sparse multiple of Phi_n^k; folding each side by it
-    # first turns the long division against a dense modulus into one against
-    # k+1 terms.  Euclidean remainders are linear and unique, so the residual
-    # is that of the full difference
+    # folding each side by (q^n - 1)^k, a multiple of Phi_n^k, leaves the
+    # long division by the dense modulus under kn terms; remainders are
+    # linear and unique, so the residual is that of the full difference
     def folded(x: LaurentPoly) -> LaurentPoly:
         if lo > x.offset:
             x = LaurentPoly(lo, x.coeffs[lo - x.offset :])
-        return rem_monic(shift(x, cleared_shift), mod.sparse)
+        return fold(shift(x, cleared_shift), mod.n, mod.k)
 
     cleared = rem_monic(folded(lhs) - folded(rhs), mod.poly)
     return CongruenceOutcome(cleared.is_zero(), cleared, cleared_shift)

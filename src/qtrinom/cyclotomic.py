@@ -2,13 +2,12 @@
 
 Phi_n(q) is computed by Moebius inversion over the factors q^d - 1 for
 divisors d of n, entirely in integer arithmetic; no roots of unity are ever
-represented.  A Modulus bundles an expanded power Phi_n(q)^k with its
-(n, k) metadata and, built on first use, its sparse multiple (q^n - 1)^k.
-Both Phi_n and each Modulus are cached per process.
+represented.  A Modulus is an expanded Phi_n(q)^k with its (n, k), which
+name its multiple (q^n - 1)^k to polyring.fold; all are cached per process.
 """
 from __future__ import annotations
 
-from functools import cached_property
+from typing import NamedTuple
 
 from .polyring import ONE, LaurentPoly, exact_div, monomial
 
@@ -62,33 +61,12 @@ def cyclotomic(n: int) -> LaurentPoly:
     return result
 
 
-class Modulus:
-    """An expanded Phi_n(q)^k kept together with its (n, k) metadata.
+class Modulus(NamedTuple):
+    """An expanded Phi_n(q)^k kept together with its (n, k) metadata."""
 
-    Moduli are equal when their (n, k) are, since (n, k) fixes poly.  A
-    plain class rather than a NamedTuple, because sparse is built lazily.
-    """
-
-    def __init__(self, n: int, k: int, poly: LaurentPoly):
-        self.n = n
-        self.k = k
-        self.poly = poly
-
-    def __eq__(self, other):
-        if other.__class__ is not Modulus:
-            return NotImplemented
-        return (self.n, self.k) == (other.n, other.k)
-
-    def __hash__(self):
-        return hash((self.n, self.k))
-
-    def __repr__(self):
-        return f"Modulus(n={self.n!r}, k={self.k!r}, poly={self.poly!r})"
-
-    @cached_property
-    def sparse(self) -> LaurentPoly:
-        """(q^n - 1)^k, the sparse multiple of poly that reductions fold by first."""
-        return (monomial(self.n) - ONE) ** self.k
+    n: int
+    k: int
+    poly: LaurentPoly
 
 
 def cyclotomic_power(n: int, k: int) -> Modulus:

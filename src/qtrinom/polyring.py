@@ -17,12 +17,13 @@ needs no product: _step applies it in linear time.
 
 The quotient ring Z[q]/((q^n - 1)^k) has its own form: per residue class
 mod n, the Taylor coefficients at y = q^n = 1 (_taylor).  Multiplying by
-q^j and substituting q -> q^2 act on that form directly, and
-_from_taylor gives back the Euclidean remainder modulo (q^n - 1)^k, so
-rem_monic's closed form for that modulus is the one constructor followed by
-the basis change.  _taylor_dot sums products of elements in that form by
-Kronecker substitution, evaluating each polynomial form at the digit base
-straight from its Taylor vectors, and reads the sum's digits back once.
+q^j and substituting q -> q^2 act on that form directly, and _from_taylor
+gives back the Euclidean remainder modulo (q^n - 1)^k, so fold, the
+remainder by that modulus, is the one constructor followed by the basis
+change.  _taylor_dot sums products of elements in that form by Kronecker
+substitution, evaluating each polynomial form at the digit base straight
+from its Taylor vectors, and reads the sum's digits back once.  Every other
+monic modulus takes rem_monic, long division.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ class NotMonic(ValueError):
 
 
 class NegativeExponent(ValueError):
-    """Raised when rem_monic gets a Laurent (offset < 0) operand."""
+    """Raised when rem_monic or fold gets a Laurent (offset < 0) operand."""
 
 
 class LaurentPoly:
@@ -357,22 +358,11 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 
 
 def rem_monic(x: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
-    """Euclidean remainder of x modulo a monic ordinary polynomial m.
-
-    Both operands must be ordinary polynomials (no negative exponents);
-    Laurent callers clear denominators with shift() first, which is their
-    responsibility because its soundness depends on the modulus.
-
-    When m is exactly (q^n - 1)^k and x has at least twice its degree, the
-    remainder is taken in closed form instead of by long division.  With
-    y = q^n, the terms of x whose exponent is r mod n form q^r P_r(y), and
-    modulo (y - 1)^k the polynomial P_r(y) = sum_j c_j y^j equals its Taylor
-    polynomial at y = 1, sum_{i<k} S_i (y - 1)^i with S_i = sum_j C(j, i) c_j.
-    Rewritten in powers of y and summed over r, this has degree < kn and
-    differs from x by a multiple of m, so it is the Euclidean remainder,
-    which is unique.  Shorter inputs and every other modulus use long
-    division.
-    """
+    """Euclidean remainder of x modulo a monic ordinary polynomial m, by
+    long division.  Both operands must be ordinary polynomials; Laurent
+    callers clear denominators with shift() first, which is their
+    responsibility because its soundness depends on the modulus.  A caller
+    whose modulus is (q^n - 1)^k names fold instead."""
     if x.offset < 0 and x.coeffs:
         raise NegativeExponent("dividend has negative exponents")
     if m.offset < 0 and m.coeffs:
@@ -382,10 +372,6 @@ def rem_monic(x: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
         raise NotMonic("modulus must be monic of degree >= 1")
     if x.degree < dm:
         return x
-    if x.degree >= 2 * dm:
-        nk = _power_of_qn_minus_one(m)
-        if nk is not None:
-            return _rem_taylor(x, *nk)
     buf = [0] * x.offset + list(x.coeffs)
     # skip the leading 1; reduce top-down against the nonzero lower terms
     lower = [(j + m.offset, c) for j, c in enumerate(m.coeffs[:-1]) if c]
@@ -399,24 +385,21 @@ def rem_monic(x: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(0, buf[:dm])
 
 
-def _power_of_qn_minus_one(m: LaurentPoly) -> tuple[int, int] | None:
-    """(n, k) when the monic m is exactly (q^n - 1)^k, else None."""
-    c = m.coeffs
-    if m.offset:
-        return None
-    n = 1
-    while not c[n]:
-        n += 1
-    k, rest = divmod(len(c) - 1, n)
-    if rest:
-        return None
-    expected = [0] * len(c)
-    expected[::n] = [(-1) ** (k - i) * comb(k, i) for i in range(k + 1)]
-    return (n, k) if c == tuple(expected) else None
-
-
-def _rem_taylor(x: LaurentPoly, n: int, k: int) -> LaurentPoly:
-    """x mod (q^n - 1)^k by Taylor sums per residue class (see rem_monic)."""
+def fold(x: LaurentPoly, n: int, k: int) -> LaurentPoly:
+    """Euclidean remainder of the ordinary polynomial x modulo (q^n - 1)^k,
+    in closed form.  With y = q^n, the terms of x whose exponent is r mod n
+    form q^r P_r(y), and modulo (y - 1)^k the polynomial
+    P_r(y) = sum_j c_j y^j equals its Taylor polynomial at y = 1,
+    sum_{i<k} S_i (y - 1)^i with S_i = sum_j C(j, i) c_j.  Rewritten in
+    powers of y and summed over r, this has degree < kn and differs from x
+    by a multiple of (q^n - 1)^k, so it is the Euclidean remainder, which
+    is unique."""
+    if n < 1 or k < 1:
+        raise ValueError("fold needs n >= 1 and k >= 1")
+    if x.offset < 0 and x.coeffs:
+        raise NegativeExponent("dividend has negative exponents")
+    if x.degree < k * n:
+        return x
     return _from_taylor(_taylor(x, n, k))
 
 

@@ -22,14 +22,13 @@ current row and the entries that _read_by_families names, and drops the
 rest.  Weights and the base q^2 are applied in the ring, so each summand is
 one product of two ring elements, and polyring._taylor_dot takes the whole
 signed sum from their Taylor vectors, with no polynomial per summand; the
-sum is folded once.
+sum is reduced once, by polyring.fold.
 """
 from __future__ import annotations
 
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .cyclotomic import cyclotomic_power
 from .polyring import (
     ONE,
     ZERO,
@@ -38,8 +37,8 @@ from .polyring import (
     _taylor_q2,
     _taylor_shift,
     _taylor_step,
+    fold,
     monomial,
-    rem_monic,
     shift,
     substitute_power,
 )
@@ -304,8 +303,7 @@ def truncated_q_trinomial(
         firsts.append(_taylor_shift(first, family.weight(an, bn, k)))
         seconds.append(band.entry(2 * an - 2 * k, an - bn - k) if family.reflected else full.entry(an - k, bn + k))
         signs.append(-1 if family.reflected and k % 2 else 1)
-    # one fold of the whole sum, by the sparse modulus the checker shares
-    return rem_monic(_taylor_dot(firsts, seconds, signs), cyclotomic_power(n, power).sparse)
+    return fold(_taylor_dot(firsts, seconds, signs), n, power)
 
 
 def truncated_classical(variant: str, a: int, b: int, p: int) -> int:

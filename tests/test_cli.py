@@ -506,8 +506,9 @@ def test_unwritable_output_exits_2_without_traceback(argv, where):
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "qtrinom.cli", *argv], env=_cli_env(),
                               stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stderr == f"qtrinom: error: cannot write {where}: {os.strerror(errno.ENOSPC)}\n"
+    # one comparison, so a wrong exit code is reported with the stderr beside it
+    expected = f"qtrinom: error: cannot write {where}: {os.strerror(errno.ENOSPC)}\n"
+    assert (proc.returncode, proc.stderr) == (2, expected)
 
 
 def test_verify_imports_only_what_the_run_uses():

@@ -120,9 +120,26 @@ def test_congruent_is_symmetric_on_arbitrary_pairs(n, x, y):
     assert congruent(x, y, mod).holds == congruent(y, x, mod).holds
 
 
-@given(st.integers(1, 10), st.integers(1, 3), small_polys, small_polys)
-def test_congruent_matches_single_stage_reduction(n, k, x, y):
-    # the sparse (q^n - 1)^k prefold must not change the residual
+@st.composite
+def congruent_cases(draw):
+    """(n, k, x, y): two short sides, or one long side against a short one,
+    like a theorem rhs against its lhs.  The long side starts as low as
+    q^-12 and has degree from kn to 3kn, so its fold takes the Taylor sums."""
+    n, k = draw(st.integers(1, 10)), draw(st.integers(1, 3))
+    x, y = draw(small_polys), draw(small_polys)
+    if draw(st.booleans()):
+        offset, degree = draw(st.integers(-12, 0)), draw(st.integers(k * n, 3 * k * n))
+        size = degree - offset + 1
+        coeffs = draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+        coeffs[-1] = coeffs[-1] or 1
+        x, y = draw(st.permutations([x, LaurentPoly(offset, coeffs)]))
+    return n, k, x, y
+
+
+@given(congruent_cases())
+def test_congruent_matches_single_stage_reduction(case):
+    # the (q^n - 1)^k fold of each side must not change the residual
+    n, k, x, y = case
     mod = cyclotomic_power(n, k)
     assert tuple(congruent(x, y, mod)) == congruent_by_difference(x, y, mod)
 
@@ -526,7 +543,7 @@ def test_invariant_checks_survive_python_O():
     script = "\n".join(
         [
             "from qtrinom.congruence import _half, _straub_q",
-            "from qtrinom.polyring import _unpack",
+            "from qtrinom.polyring import _unpack, fold, monomial",
             "from qtrinom.qcombinatorics import _step",
             "from qtrinom.trinomials import _RowStream",
             "def dropped_row_entry():",
@@ -536,7 +553,8 @@ def test_invariant_checks_survive_python_O():
             "A = ArithmeticError",
             "for check, error in ((lambda: _half(3), A), (lambda: _unpack(1 << 16, 1, 2), A),",
             "                     (lambda: _unpack(-(1 << 16), 1, 2), A), (lambda: _straub_q(2, 1, 2), A),",
-            "                     (lambda: _step((1,), 1, 2), A), (dropped_row_entry, LookupError)):",
+            "                     (lambda: _step((1,), 1, 2), A), (dropped_row_entry, LookupError),",
+            "                     (lambda: fold(monomial(-1), 2, 2), ValueError)):",
             "    try:",
             "        check()",
             "    except error:",

@@ -18,7 +18,6 @@ from qtrinom.polyring import (
     _mul_kronecker,
     _mul_schoolbook,
     _pack,
-    _power_of_qn_minus_one,
     _taylor,
     _taylor_dot,
     _taylor_q2,
@@ -27,6 +26,7 @@ from qtrinom.polyring import (
     _unpack,
     eval_at_one,
     exact_div,
+    fold,
     from_text,
     make_poly,
     monomial,
@@ -220,47 +220,56 @@ def test_eval_at_one_is_multiplicative(x, y):
 
 @st.composite
 def power_modulus_cases(draw):
-    """(x, m, selection): m is (q^n - 1)^k or a near miss, deg x >= 2kn.
-
-    selection is what _power_of_qn_minus_one must return for m: (n, k) picks
-    the Taylor-sum fold, None long division.  q^(kn) - 1 is itself
-    (q^(kn) - 1)^1, so it folds too.  The near misses must not fold.
-    """
+    """(x, n, k, m): x ordinary of degree below kn to about 6kn, or far above
+    it by its offset, and m is (q^n - 1)^k or another sparse monic modulus:
+    (q^n + 1)^k, q^(kn) - 1, q (q^n - 1)^k or (q^n - 1)^k + q."""
     n, k = draw(st.integers(1, 12)), draw(st.integers(1, 4))
     power = (monomial(n) - ONE) ** k
-    cases = [
-        (power, (n, k)),
-        ((monomial(n) + ONE) ** k, None),
-        (monomial(k * n) - ONE, (k * n, 1)),
-        (shift(power, 1), None),
-    ]
+    moduli = [power, (monomial(n) + ONE) ** k, monomial(k * n) - ONE, shift(power, 1)]
     if k * n > 1:  # below that, adding q breaks monicity
-        cases.append((power + monomial(1), None))
-    m, selection = draw(st.sampled_from(cases))
+        moduli.append(power + monomial(1))
     offset = draw(st.integers(0, 16) | st.integers(0, 10**4))
-    coeffs = draw(
-        st.lists(st.integers(-(2**200), 2**200), min_size=2 * k * n + 1, max_size=6 * k * n + 1)
-    )
-    coeffs[-1] = coeffs[-1] or 1
-    return LaurentPoly(offset, coeffs), m, selection
+    coeffs = draw(st.lists(st.integers(-(2**200), 2**200), max_size=6 * k * n + 1))
+    return LaurentPoly(offset, coeffs), n, k, draw(st.sampled_from(moduli))
 
 
-ANY_PATH = object()
-division_cases = (
-    st.builds(lambda x, m: (x, m, ANY_PATH), ordinary_polys, monic_polys) | power_modulus_cases()
+division_cases = st.builds(lambda x, m: (x, m), ordinary_polys, monic_polys) | power_modulus_cases().map(
+    lambda case: (case[0], case[3])
 )
 
 
 @given(division_cases)
 def test_division_round_trip(case):
-    # the round trip pins the unique Euclidean remainder whichever path ran
-    x, m, selection = case
-    if selection is not ANY_PATH:
-        assert _power_of_qn_minus_one(m) == selection
+    # the round trip pins the unique Euclidean remainder
+    x, m = case
     r = rem_monic(x, m)
     assert r.degree < m.degree
     quotient = exact_div(x - r, m) if x != r else ZERO
     assert quotient * m + r == x
+
+
+@given(power_modulus_cases())
+def test_fold_matches_long_division(case):
+    x, n, k, _ = case
+    assert fold(x, n, k) == rem_monic(x, (monomial(n) - ONE) ** k)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (1, 3), (4, 1), (3, 2), (5, 3)])
+def test_fold_edges(n, k):
+    m = (monomial(n) - ONE) ** k
+    below = LaurentPoly(0, range(1, k * n + 1))
+    assert fold(below, n, k) is below
+    for degree in (k * n, 2 * k * n - 1):
+        x = LaurentPoly(0, range(1, degree + 2))
+        assert fold(x, n, k) == rem_monic(x, m)
+    assert fold(ZERO, n, k) is ZERO
+    for laurent in (monomial(-1), monomial(-1) + monomial(2 * k * n)):
+        with pytest.raises(NegativeExponent):
+            fold(laurent, n, k)
+    with pytest.raises(ValueError):
+        fold(below, 0, k)
+    with pytest.raises(ValueError):
+        fold(below, n, 0)
 
 
 @given(polys, polys)
