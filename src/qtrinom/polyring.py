@@ -16,14 +16,16 @@ CPython's big-int multiplication.  A two-term factor (1 - q^up)/(1 - q^down)
 needs no product: _step applies it in linear time.
 
 The quotient ring Z[q]/((q^n - 1)^k) has its own form: per residue class
-mod n, the Taylor coefficients at y = q^n = 1 (_taylor).  Multiplying by
-q^j and substituting q -> q^2 act on that form directly, and _from_taylor
+mod n, the Taylor coefficients at y = q^n = 1 (_taylor), and _from_taylor
 gives back the Euclidean remainder modulo (q^n - 1)^k, so fold, the
 remainder by that modulus, is the one constructor followed by the basis
-change.  _taylor_dot sums products of elements in that form by Kronecker
-substitution, evaluating each polynomial form at the digit base straight
-from its Taylor vectors, and reads the sum's digits back once.  Every other
-monic modulus takes rem_monic, long division.
+change.  Where every Taylor digit is nonnegative, as in a q-Pascal row,
+each vector is packed into one int at a proven byte width: the step
+x + q^j z (_packed_step), which with x = 0 is the shift, and q -> q^2
+(_packed_q2) are then a few integer operations and byte-strided copies,
+and _packed_dot sums signed products of packed elements by Kronecker
+substitution, reading the sum's digits back once.  Every other monic
+modulus takes rem_monic, long division.
 """
 from __future__ import annotations
 
@@ -233,15 +235,15 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     # the product coefficients back out of the digits.  w is chosen so that
     # every input and product coefficient lies strictly inside (-B/2, B/2), so
     # each shifted by B/2 is one unsigned digit: the offset-digit codec.
-    w = _digit_width(max(map(abs, a)), max(map(abs, b)), min(len(a), len(b)))
+    w = _digit_width(max(map(abs, a)).bit_length(), max(map(abs, b)).bit_length(), min(len(a), len(b)))
     n = _pack(a, w) * _pack(b, w)
     return _unpack(n, w, len(a) + len(b) - 1)
 
 
-def _digit_width(amax: int, bmax: int, terms: int) -> int:
-    """Bytes w per digit such that |a| <= amax, |b| <= bmax and any sum of
-    `terms` products a*b lie strictly inside (-B/2, B/2), B = 2^(8w)."""
-    return (amax.bit_length() + bmax.bit_length() + terms.bit_length() + 2 + 7) // 8
+def _digit_width(abits: int, bbits: int, terms: int) -> int:
+    """Bytes w per digit such that |a| < 2^abits, |b| < 2^bbits and any sum
+    of `terms` products a*b lie strictly inside (-B/2, B/2), B = 2^(8w)."""
+    return (abits + bbits + terms.bit_length() + 2 + 7) // 8
 
 
 def _half_digits(w: int, count: int) -> int:
@@ -449,90 +451,125 @@ def _from_taylor(taylor: Sequence[Sequence[int]]) -> LaurentPoly:
     return LaurentPoly(0, out)
 
 
-def _taylor_shift(taylor: Sequence[Sequence[int]], j: int) -> list[list[int]]:
-    """q^j times the element, j >= 0."""
-    zero = [0] * len(taylor[0])
-    return _taylor_step([zero] * len(taylor), taylor, j)
+# ---- packed elements: one nonnegative integer per Taylor vector ----
+#
+# A q-Pascal row only adds, moves classes and scales by C(u, i) >= 0, so its
+# Taylor digits are nonnegative.  There a vector S_i is held as the one int
+# P_i = sum_r S_i[r] B^r, B = 2^(8w), at a byte width w that every digit
+# provably fits in (_digit_bits).  Adding, scaling by a nonnegative int and
+# moving whole digits are then integer operations with no carry between
+# digits, and a change of width is a byte-strided copy (_repack).  A packed
+# element is its vectors, or (width, vectors) where widths differ.
 
 
-def _taylor_step(x: Sequence[Sequence[int]], z: Sequence[Sequence[int]], j: int) -> list[list[int]]:
-    """x + q^j z, j >= 0, in one pass over z (the q-Pascal step).  With
-    j = u*n + r, every class of z gains y^u = (1 + e)^u, so S_i gains
-    sum_(l<i) C(u, i-l) S_l; class c then moves to (c + r) mod n, and the r
-    classes that wrap past q^n gain one more y = 1 + e, so S_i gains S_(i-1)
-    there."""
-    n = len(z[0])
+def _digit_bits(degree: int, total: int, n: int, k: int) -> int:
+    """Bits that hold every Taylor digit in Z[q]/((q^n - 1)^k) of a
+    polynomial with nonnegative coefficients c_e summing to at most total,
+    of degree at most degree.  S_i[r] = sum_j C(j, i) c_(jn+r) with
+    j <= degree // n = t, so S_i[r] <= C(t, i) total, and C(t, i) over
+    i < k is largest at i = min(k - 1, t // 2)."""
+    top = degree // n
+    return (comb(top, min(k - 1, top // 2)) * total).bit_length()
+
+
+def _repack(vectors: Sequence[int], count: int, w: int, to: int) -> list[int]:
+    """Packed vectors of count digits, w bytes each, rewritten `to` bytes
+    each, all in one byte-strided copy.  Raises OverflowError (an
+    ArithmeticError) if a vector is negative or has more than count digits,
+    and ArithmeticError if a digit does not fit in `to` bytes."""
+    raw = b"".join(map(int.to_bytes, vectors, repeat(w * count), repeat("little")))
+    digits = count * len(vectors)
+    if to < w and any(raw[t::w].count(0) != digits for t in range(to, w)):
+        raise ArithmeticError("packed digit does not fit the narrower width")
+    out = bytearray(to * digits)
+    for t in range(min(w, to)):
+        out[t::to] = raw[t::w]
+    view, size = memoryview(out), to * count
+    return [int.from_bytes(view[i * size : (i + 1) * size], "little") for i in range(len(vectors))]
+
+
+def _packed_step(x: Sequence[int], z: Sequence[int], j: int, n: int, w: int) -> list[int]:
+    """x + q^j z, j >= 0, for packed elements at byte width w (the q-Pascal
+    step); every digit of the result must fit in w bytes.  With j = u*n + r,
+    every class of z gains y^u = (1 + e)^u, so S_i gains
+    sum_(l<i) C(u, i-l) S_l; class c then moves to (c + r) mod n, which is
+    one mask and two shifts, and the r classes that wrap past q^n gain one
+    more y = 1 + e, so S_i gains the wrapped part of S_(i-1)."""
     u, r = divmod(j, n)
-    cut = n - r
-    out, before = [], None
+    bits = 8 * w
+    low = bits * (n - r)
+    mask = (1 << low) - 1
+    out, wrapped = [], 0
     for i, s in enumerate(z):
-        for l in range(i if u else 0):
-            s = list(map(add, s, map(comb(u, i - l).__mul__, z[l])))
+        if u:
+            for l in range(i):
+                s += comb(u, i - l) * z[l]
         if r:
-            s = s[cut:] + s[:cut]
-        row = list(map(add, x[i], s))
-        if before is not None:
-            # before is S_(i-1) moved, not yet given its own wrap term
-            row[:r] = map(add, row[:r], before[:r])
-        out.append(row)
-        before = s if r else None
+            top = s >> low
+            s = ((s & mask) << bits * r) + top + wrapped
+            wrapped = top
+        out.append(x[i] + s)
     return out
 
 
-def _taylor_q2(taylor: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The image under q -> q^2, a ring map since (q^(2n) - 1)^k is a multiple
-    of (q^n - 1)^k.  q^r e^i goes to q^(2r) e^i (2 + e)^i, as q^(2n) - 1 is
-    e (2 + e), and q^(2r) is q^(2r-n) y = q^(2r-n) (1 + e) when 2r >= n."""
-    n, k = len(taylor[0]), len(taylor)
-    # e^i (2 + e)^i = sum_m C(i, m) 2^(i-m) e^(i+m), cut at e^k
-    mixed = [[c << i for c in s] for i, s in enumerate(taylor)]
-    for i in range(1, k):
-        for m in range(1, min(i, k - 1 - i) + 1):
-            scale = comb(i, m) << (i - m)
-            mixed[i + m] = list(map(add, mixed[i + m], map(scale.__mul__, taylor[i])))
-    # classes r < half land on 2r, the others on 2r - n, in steps of 2
-    half = (n + 1) // 2
-    out, wrapped_before = [], None
-    for s in mixed:
-        low, wrapped = [0] * n, [0] * n
-        low[: 2 * half : 2] = s[:half]
-        wrapped[2 * half - n :: 2] = s[half:]
-        row = list(map(add, low, wrapped))
-        if wrapped_before is not None:
-            row = list(map(add, row, wrapped_before))
-        out.append(row)
-        wrapped_before = wrapped
+def _packed_q2(x: Sequence[int], n: int, w: int, to: int) -> list[int]:
+    """The image under q -> q^2 of a packed element at byte width w, at
+    byte width `to`; a ring map since (q^(2n) - 1)^k is a multiple of
+    (q^n - 1)^k.  q^r e^i goes to q^(2r) e^i (2 + e)^i, as q^(2n) - 1 is
+    e (2 + e), and q^(2r) is q^(2r-n) y = q^(2r-n) (1 + e) when 2r >= n.
+    So each S_i is spread by one re-pack to twice the width, digit r to 2r,
+    and the digits past n - 1 move on to 2r - n; e^i (2 + e)^i =
+    sum_m C(i, m) 2^(i-m) e^(i+m) mixes the spread vectors, and the wrapped
+    classes add once more to the next power of e."""
+    cut = 8 * to * n
+    mask = (1 << cut) - 1
+    spread, wrapped = [], []
+    for s in _repack(x, n, w, 2 * to):
+        top = s >> cut
+        spread.append((s & mask) + top)
+        wrapped.append(top)
+    out = []
+    for t in range(len(x)):
+        # e^t takes C(i, t-i) 2^(2i-t) of each e^i with i <= t <= 2i, and the
+        # same share of e^(t-1)'s wrapped classes
+        value = sum((comb(i, t - i) << 2 * i - t) * spread[i] for i in range((t + 1) // 2, t + 1))
+        value += sum((comb(i, t - 1 - i) << 2 * i - t + 1) * wrapped[i] for i in range(t // 2, t))
+        out.append(value)
     return out
 
 
-def _taylor_value(taylor: Sequence[Sequence[int]], bits: int) -> int:
-    """The polynomial form of the element at q = B = 2^bits, taken straight
-    from its Taylor vectors: sum_i S_i(B) (B^n - 1)^i, both sums by Horner's
-    rule (quadratic in n, faster than _pack for vectors this short)."""
+def _packed_value(vectors: Sequence[int], n: int, w: int) -> int:
+    """The polynomial form of a packed element at byte width w, at
+    q = B = 2^(8w): sum_i S_i(B) (B^n - 1)^i."""
     value = 0
-    for s in reversed(taylor):
-        digits = 0
-        for c in reversed(s):
-            digits = (digits << bits) + c
-        value = (value << bits * len(s)) - value + digits
+    for p in reversed(vectors):
+        value = (value << 8 * w * n) - value + p
     return value
 
 
-def _taylor_dot(xs: Sequence, ys: Sequence, signs: Sequence[int]) -> LaurentPoly:
-    """sum_i signs[i] X_i Y_i over the polynomial forms X_i, Y_i of ring
-    elements given by their Taylor vectors: an ordinary polynomial of degree
-    < 2kn - 1, not yet folded.  Every product is taken by Kronecker
-    substitution at one digit width and summed as an integer, so the sum is
-    read out of the digits once.  A form's coefficient sum_i +-C(i, s) S_i is
-    at most 2^k max|S| in size."""
-    k, n = len(xs[0]), len(xs[0][0])
-    w = _digit_width(
-        max(max(map(abs, s)) for x in xs for s in x) << k,
-        max(max(map(abs, s)) for y in ys for s in y) << k,
-        k * n * len(xs),
-    )
-    bits = 8 * w
-    total = sum(_taylor_value(x, bits) * _taylor_value(y, bits) * sign for x, y, sign in zip(xs, ys, signs))
+def _packed_dot(terms: Sequence, xbits: int, ybits: int, n: int) -> LaurentPoly:
+    """sum sign q^j X Y over terms (sign, j, x, y), X and Y the polynomial
+    forms of packed elements x, y = (width, vectors) whose digits, those of
+    q^j x included, are below 2^xbits and 2^ybits: an ordinary polynomial
+    of degree < 2kn - 1, not yet folded.  Every factor is re-packed to one
+    digit width w, in one copy per width the factors come in, q^j x is the
+    step with no addend, and each product is taken by Kronecker
+    substitution at B = 2^(8w) and summed as an integer, so the sum is read
+    out of the digits once.  A form's coefficient sum_i +-C(i, s) S_i is
+    below 2^k 2^bits in size."""
+    k = len(terms[0][2][1])
+    w = _digit_width(xbits + k, ybits + k, k * n * len(terms))
+    by_width: dict[int, list[int]] = {}
+    for _, _, x, y in terms:
+        for width, vectors in (x, y):
+            by_width.setdefault(width, []).extend(vectors)
+    repacked = {width: iter(_repack(vectors, n, width, w)) for width, vectors in by_width.items()}
+    total, zero = 0, [0] * k
+    for sign, j, x, y in terms:
+        xv, yv = ([next(repacked[width]) for _ in range(k)] for width, _ in (x, y))
+        if j:
+            xv = _packed_step(zero, xv, j, n, w)
+        total += sign * _packed_value(xv, n, w) * _packed_value(yv, n, w)
     return LaurentPoly(0, _unpack(total, w, 2 * k * n - 1))
 
 

@@ -13,30 +13,35 @@ row fixes both sides.
 
 A truncated sum can instead be built in Z[q]/((q^n - 1)^k), as its
 Euclidean remainder modulo (q^n - 1)^k.  Its binomials then come from
-q-Pascal rows [N j] = [N-1 j-1] + q^j [N-1 j] held in ring form (the
-Taylor vectors of polyring._taylor): the step needs no division, so it is
+q-Pascal rows [N j] = [N-1 j-1] + q^j [N-1 j] held in ring form, packed:
+one nonnegative int per Taylor vector of polyring._taylor, at a byte width
+proven for the row (_RowStream).  The step needs no division, so it is
 valid in the ring.  Each (n, k) has two process-wide row streams, never
 restarted: full rows for the first factors and round's second factors, and
-a band of width n//2 for the reflected second factors.  A stream keeps its
-current row and the entries that _read_by_families names, and drops the
-rest.  Weights and the base q^2 are applied in the ring, so each summand is
-one product of two ring elements, and polyring._taylor_dot takes the whole
-signed sum from their Taylor vectors, with no polynomial per summand; the
-sum is reduced once, by polyring.fold.
+a band of width n//2 for the reflected second factors, which takes the
+rows the full stream has reached from it.  The streams keep their current
+rows and, in one shared dict, the entries that _read_by_families names,
+and drop the rest; the full stream also keeps the q -> q^2 image of each
+first factor, made once.  Weights are applied in the ring, so each summand
+is one product of two ring elements, and polyring._packed_dot takes the
+whole signed sum from the packed vectors, with no polynomial per summand;
+the sum is reduced once, by polyring.fold.
 """
 from __future__ import annotations
 
 from enum import Enum
+from math import comb
 from typing import Callable, NamedTuple
 
 from .polyring import (
     ONE,
     ZERO,
     LaurentPoly,
-    _taylor_dot,
-    _taylor_q2,
-    _taylor_shift,
-    _taylor_step,
+    _digit_bits,
+    _packed_dot,
+    _packed_q2,
+    _packed_step,
+    _repack,
     fold,
     monomial,
     shift,
@@ -201,40 +206,77 @@ class DroppedRowEntry(LookupError):
 
 
 class _RowStream:
-    """q-Pascal rows N = 0, 1, 2, ... in Z[q]/((q^n - 1)^k), each entry as
-    its Taylor vectors.  Row N holds [N j] for j <= min(N//2, width); the
-    others follow from [N j] = [N N-j].  Only the current row and the
-    entries _read_by_families names are kept.  width None means full rows."""
+    """q-Pascal rows N = 0, 1, 2, ... in Z[q]/((q^n - 1)^k), each entry
+    packed (polyring._packed_step) at its row's byte width.  Row N holds
+    [N j] for j <= m = min(N//2, width); the others follow from
+    [N j] = [N N-j].  width None means full rows; a band (width n//2)
+    serves rows the full stream has reached from that stream, and resumes
+    from its current row when behind.  Only the current row and the entries
+    _read_by_families names are kept, in one dict shared by an (n, k)'s two
+    streams, as (byte width, vectors).
 
-    def __init__(self, n: int, k: int, width: int | None):
-        self.n, self.width = n, width
-        one = [[0] * n for _ in range(k)]
-        one[0][0] = 1
-        self.big, self.row = 0, [one]
-        self.kept: dict[tuple[int, int], list[list[int]]] = {}
+    The width is proven: [N j] has nonnegative coefficients summing to
+    C(N, j) <= C(N, m), of degree j(N-j) <= m(N-m), and so do the terms
+    [N-1 j-1] and q^j [N-1 j] of the step and y^u [N-1 j] inside it, so
+    every digit of row N and of its steps is at most
+    C(floor(m(N-m)/n), i) C(N, m) (polyring._digit_bits).  The bound grows
+    with N, so widths only grow, each widening a byte-strided re-pack; a
+    band resumed from a full row narrows it at its next step."""
 
-    def entry(self, big: int, small: int) -> list[list[int]]:
+    def __init__(self, n: int, k: int, width: int | None, full: _RowStream | None = None):
+        self.n, self.k, self.width, self.full = n, k, width, full
+        self.big, self.bytes, self.row = 0, 1, [[1] + [0] * (k - 1)]
+        self.kept: dict[tuple[int, int], tuple[int, list[int]]] = {} if full is None else full.kept
+        self.images: dict[tuple[int, int], tuple[int, list[int]]] = {}
+
+    def entry(self, big: int, small: int) -> tuple[int, list[int]]:
+        """[big small] as (byte width, packed vectors)."""
         small = min(small, big - small)
+        full = self.full
+        if full is not None:
+            if big <= full.big:
+                return full.entry(big, small)
+            if self.big < full.big:
+                # resume from the full stream's row; the next step narrows it
+                self.big, self.bytes, self.row = full.big, full.bytes, full.row[: self.width + 1]
         while self.big < big:
             self._advance()
         if big == self.big and small < len(self.row):
-            return self.row[small]
+            return self.bytes, self.row[small]
         hit = self.kept.get((big, small))
         if hit is None:
             raise DroppedRowEntry(f"[{big} {small}] is not kept by the n={self.n} row stream")
         return hit
 
+    def image_q2(self, big: int, small: int) -> tuple[int, list[int]]:
+        """[big small]_(q^2), made once from the entry on first use."""
+        small = min(small, big - small)
+        hit = self.images.get((big, small))
+        if hit is None:
+            w, vectors = self.entry(big, small)
+            to = (_digit_bits(2 * small * (big - small), comb(big, small), self.n, self.k) + 7) // 8
+            hit = self.images[big, small] = to, _packed_q2(vectors, self.n, w, to)
+        return hit
+
+    def _bytes(self, big: int) -> int:
+        m = big // 2 if self.width is None else min(big // 2, self.width)
+        return (_digit_bits(m * (big - m), comb(big, m), self.n, self.k) + 7) // 8
+
     def _advance(self) -> None:
-        prev, big = self.row, self.big + 1
+        prev, big, n = self.row, self.big + 1, self.n
+        w = self._bytes(big)
+        if w != self.bytes:  # the whole row in one byte-strided copy
+            flat = _repack([p for entry in prev for p in entry], n, self.bytes, w)
+            prev = [flat[i : i + self.k] for i in range(0, len(flat), self.k)]
         if big % 2 == 0 and (self.width is None or big // 2 <= self.width):
             # the new middle entry [big big/2] reads [big-1 big/2] = [big-1 big/2-1]
             prev = prev + prev[-1:]
         row = [prev[0]]
-        row += [_taylor_step(prev[j - 1], prev[j], j) for j in range(1, len(prev))]
-        self.big, self.row = big, row
+        row += [_packed_step(prev[j - 1], prev[j], j, n, w) for j in range(1, len(prev))]
+        self.big, self.bytes, self.row = big, w, row
         for j, value in enumerate(row):
-            if _read_by_families(self.n, big, j):
-                self.kept[big, j] = value
+            if _read_by_families(n, big, j):
+                self.kept.setdefault((big, j), (w, value))
 
 
 # (n, k, width) -> the row stream of Z[q]/((q^n - 1)^k) of that width
@@ -244,7 +286,8 @@ _ROWS: dict[tuple[int, int, int | None], _RowStream] = {}
 def _rows(n: int, k: int, width: int | None) -> _RowStream:
     stream = _ROWS.get((n, k, width))
     if stream is None:
-        stream = _ROWS[n, k, width] = _RowStream(n, k, width)
+        full = None if width is None else _rows(n, k, None)
+        stream = _ROWS[n, k, width] = _RowStream(n, k, width, full)
     return stream
 
 
@@ -295,15 +338,18 @@ def truncated_q_trinomial(
     if power < 1:
         raise ValueError("modulus power must be positive")
     full, band = _rows(n, power, None), _rows(n, power, half)
-    firsts, seconds, signs = [], [], []
+    terms = []
+    xbits = ybits = 0
     for k in range(start, start + half + 1):
-        first = full.entry(an, k)
-        if family.base == 2:
-            first = _taylor_q2(first)
-        firsts.append(_taylor_shift(first, family.weight(an, bn, k)))
-        seconds.append(band.entry(2 * an - 2 * k, an - bn - k) if family.reflected else full.entry(an - k, bn + k))
-        signs.append(-1 if family.reflected and k % 2 else 1)
-    return fold(_taylor_dot(firsts, seconds, signs), n, power)
+        first = full.image_q2(an, k) if family.base == 2 else full.entry(an, k)
+        weight = family.weight(an, bn, k)
+        big, small = (2 * an - 2 * k, an - bn - k) if family.reflected else (an - k, bn + k)
+        second = (band if family.reflected else full).entry(big, small)
+        terms.append((-1 if family.reflected and k % 2 else 1, weight, first, second))
+        # q^weight [an k]_(q^base) has degree base k(an-k) + weight
+        xbits = max(xbits, _digit_bits(family.base * k * (an - k) + weight, comb(an, k), n, power))
+        ybits = max(ybits, _digit_bits(small * (big - small), comb(big, small), n, power))
+    return fold(_packed_dot(terms, xbits, ybits, n), n, power)
 
 
 def truncated_classical(variant: str, a: int, b: int, p: int) -> int:

@@ -5,11 +5,14 @@ summation lemmas (congruence._lemma_sum) and one for the theorem
 right-hand sides (congruence.rhs_theorem); plus the truncated q-trinomial
 sum over a widened window (trinomials.truncated_q_trinomial), and the
 lemma sides times the product of their denominators, which must give the
-same verdicts as the sides themselves.  Three more check the kernels: a
-digit-by-digit decode of Kronecker integers (polyring._unpack), the sum
-of two quotient-ring elements in Taylor form (the add inside
-polyring._taylor_step) and the congruence check over the full difference
-of the sides (congruence.congruent).
+same verdicts as the sides themselves.  More check the kernels: a
+digit-by-digit decode of Kronecker integers (polyring._unpack), the
+congruence check over the full difference of the sides
+(congruence.congruent), and the quotient ring Z[q]/((q^n - 1)^k) in list
+form, each Taylor vector a list of ints of either sign: the add, the
+q-Pascal step x + q^j y, the shift, q -> q^2 and the signed dot by Horner's
+rule, the reference for polyring's packed kernels (_packed_step, which
+with no addend is the shift, _packed_q2 and _packed_dot).
 
 The last section is a second opinion that shares no arithmetic with
 qtrinom: both sides of each theorem evaluated at q = z + e in the dual
@@ -23,9 +26,23 @@ exact path's own sides must take the same values:
 import math
 import sys
 from functools import cache, lru_cache
+from math import comb
+from operator import add
+from typing import Sequence
 
 from qtrinom.congruence import rhs_theorem
-from qtrinom.polyring import ONE, ZERO, LaurentPoly, exact_div, monomial, rem_monic, shift, substitute_power
+from qtrinom.polyring import (
+    ONE,
+    ZERO,
+    LaurentPoly,
+    _digit_width,
+    _unpack,
+    exact_div,
+    monomial,
+    rem_monic,
+    shift,
+    substitute_power,
+)
 from qtrinom.qcombinatorics import binomial, q_binomial, q_binomial_base
 from qtrinom.trinomials import FAMILIES, TrinomialKind, _half, _summand, theta, truncated_q_trinomial, vartheta
 
@@ -158,10 +175,120 @@ def unpack_by_shifts(n: int, w: int, count: int) -> list[int]:
     return digits
 
 
+# ---- the quotient ring Z[q]/((q^n - 1)^k) in list form ----
+#
+# The reference for polyring's packed kernels: each element as its k Taylor
+# vectors (polyring._taylor), lists of ints of either sign, and each
+# operation entry by entry.
+
+
 def _taylor_add(x, y):
     """The sum of two elements of Z[q]/((q^n - 1)^k) in Taylor form
     (polyring._taylor): vector by vector, entry by entry."""
     return [[a + b for a, b in zip(u, v)] for u, v in zip(x, y)]
+
+
+def pack_digits(vector: Sequence[int], w: int) -> int:
+    """sum_r vector[r] B^r, B = 2^(8w), term by term: a packed Taylor vector
+    (polyring._packed_step) from digits 0 <= vector[r] < B."""
+    if any(not 0 <= d < 1 << 8 * w for d in vector):
+        raise ValueError("digit outside [0, B)")
+    return sum(d << 8 * w * r for r, d in enumerate(vector))
+
+
+def unpack_digits(p: int, w: int, count: int) -> list[int]:
+    """The count digits of a packed vector, by masks and shifts; raises
+    ValueError unless 0 <= p < B^count."""
+    if not 0 <= p < 1 << 8 * w * count:
+        raise ValueError("packed vector outside [0, B^count)")
+    return [p >> 8 * w * r & (1 << 8 * w) - 1 for r in range(count)]
+
+
+def _taylor_shift(taylor: Sequence[Sequence[int]], j: int) -> list[list[int]]:
+    """q^j times the element, j >= 0."""
+    zero = [0] * len(taylor[0])
+    return _taylor_step([zero] * len(taylor), taylor, j)
+
+
+def _taylor_step(x: Sequence[Sequence[int]], z: Sequence[Sequence[int]], j: int) -> list[list[int]]:
+    """x + q^j z, j >= 0, in one pass over z (the q-Pascal step).  With
+    j = u*n + r, every class of z gains y^u = (1 + e)^u, so S_i gains
+    sum_(l<i) C(u, i-l) S_l; class c then moves to (c + r) mod n, and the r
+    classes that wrap past q^n gain one more y = 1 + e, so S_i gains S_(i-1)
+    there."""
+    n = len(z[0])
+    u, r = divmod(j, n)
+    cut = n - r
+    out, before = [], None
+    for i, s in enumerate(z):
+        for l in range(i if u else 0):
+            s = list(map(add, s, map(comb(u, i - l).__mul__, z[l])))
+        if r:
+            s = s[cut:] + s[:cut]
+        row = list(map(add, x[i], s))
+        if before is not None:
+            # before is S_(i-1) moved, not yet given its own wrap term
+            row[:r] = map(add, row[:r], before[:r])
+        out.append(row)
+        before = s if r else None
+    return out
+
+
+def _taylor_q2(taylor: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The image under q -> q^2, a ring map since (q^(2n) - 1)^k is a multiple
+    of (q^n - 1)^k.  q^r e^i goes to q^(2r) e^i (2 + e)^i, as q^(2n) - 1 is
+    e (2 + e), and q^(2r) is q^(2r-n) y = q^(2r-n) (1 + e) when 2r >= n."""
+    n, k = len(taylor[0]), len(taylor)
+    # e^i (2 + e)^i = sum_m C(i, m) 2^(i-m) e^(i+m), cut at e^k
+    mixed = [[c << i for c in s] for i, s in enumerate(taylor)]
+    for i in range(1, k):
+        for m in range(1, min(i, k - 1 - i) + 1):
+            scale = comb(i, m) << (i - m)
+            mixed[i + m] = list(map(add, mixed[i + m], map(scale.__mul__, taylor[i])))
+    # classes r < half land on 2r, the others on 2r - n, in steps of 2
+    half = (n + 1) // 2
+    out, wrapped_before = [], None
+    for s in mixed:
+        low, wrapped = [0] * n, [0] * n
+        low[: 2 * half : 2] = s[:half]
+        wrapped[2 * half - n :: 2] = s[half:]
+        row = list(map(add, low, wrapped))
+        if wrapped_before is not None:
+            row = list(map(add, row, wrapped_before))
+        out.append(row)
+        wrapped_before = wrapped
+    return out
+
+
+def _taylor_value(taylor: Sequence[Sequence[int]], bits: int) -> int:
+    """The polynomial form of the element at q = B = 2^bits, taken straight
+    from its Taylor vectors: sum_i S_i(B) (B^n - 1)^i, both sums by Horner's
+    rule (quadratic in n, faster than _pack for vectors this short)."""
+    value = 0
+    for s in reversed(taylor):
+        digits = 0
+        for c in reversed(s):
+            digits = (digits << bits) + c
+        value = (value << bits * len(s)) - value + digits
+    return value
+
+
+def _taylor_dot(xs: Sequence, ys: Sequence, signs: Sequence[int]) -> LaurentPoly:
+    """sum_i signs[i] X_i Y_i over the polynomial forms X_i, Y_i of ring
+    elements given by their Taylor vectors: an ordinary polynomial of degree
+    < 2kn - 1, not yet folded.  Every product is taken by Kronecker
+    substitution at one digit width and summed as an integer, so the sum is
+    read out of the digits once.  A form's coefficient sum_i +-C(i, s) S_i is
+    at most 2^k max|S| in size."""
+    k, n = len(xs[0]), len(xs[0][0])
+    w = _digit_width(
+        (max(max(map(abs, s)) for x in xs for s in x) << k).bit_length(),
+        (max(max(map(abs, s)) for y in ys for s in y) << k).bit_length(),
+        k * n * len(xs),
+    )
+    bits = 8 * w
+    total = sum(_taylor_value(x, bits) * _taylor_value(y, bits) * sign for x, y, sign in zip(xs, ys, signs))
+    return LaurentPoly(0, _unpack(total, w, 2 * k * n - 1))
 
 
 def congruent_by_difference(lhs: LaurentPoly, rhs: LaurentPoly, mod) -> tuple[bool, LaurentPoly, int]:

@@ -7,6 +7,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 
@@ -502,13 +503,22 @@ def test_closed_stdout_pipe_exits_141_without_traceback(jobs):
 )
 def test_unwritable_output_exits_2_without_traceback(argv, where):
     # a full device is bad output, like an --out that cannot be opened: not a
-    # failed check (1), and not the interpreter's failed final flush (120)
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "qtrinom.cli", *argv], env=_cli_env(),
-                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    # failed check (1), and not the interpreter's failed final flush (120).
+    # The child runs under faulthandler, so if it hangs, SIGABRT makes it
+    # print every thread's stack, and the test fails with that stderr
+    argv = [sys.executable, "-X", "faulthandler", "-m", "qtrinom.cli", *argv]
+    with open("/dev/full", "w") as full, subprocess.Popen(
+        argv, env=_cli_env(), stdout=full, stderr=subprocess.PIPE, text=True
+    ) as proc:
+        try:
+            _, stderr = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.send_signal(signal.SIGABRT)
+            _, stderr = proc.communicate(timeout=60)
+            pytest.fail(f"no exit within 60 s; stderr after SIGABRT:\n{stderr}")
     # one comparison, so a wrong exit code is reported with the stderr beside it
     expected = f"qtrinom: error: cannot write {where}: {os.strerror(errno.ENOSPC)}\n"
-    assert (proc.returncode, proc.stderr) == (2, expected)
+    assert (proc.returncode, stderr) == (2, expected)
 
 
 def test_verify_imports_only_what_the_run_uses():

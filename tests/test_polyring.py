@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import _taylor_add, unpack_by_shifts
+from oracles import (
+    _taylor_add,
+    _taylor_dot,
+    _taylor_q2,
+    _taylor_shift,
+    _taylor_step,
+    pack_digits,
+    unpack_by_shifts,
+    unpack_digits,
+)
 from qtrinom.polyring import (
     _SCHOOLBOOK_LIMIT,
     ONE,
@@ -13,16 +22,17 @@ from qtrinom.polyring import (
     NegativeExponent,
     NonExactDivision,
     NotMonic,
+    _digit_bits,
     _half_digits,
     _from_taylor,
     _mul_kronecker,
     _mul_schoolbook,
     _pack,
+    _packed_dot,
+    _packed_q2,
+    _packed_step,
+    _repack,
     _taylor,
-    _taylor_dot,
-    _taylor_q2,
-    _taylor_shift,
-    _taylor_step,
     _unpack,
     eval_at_one,
     exact_div,
@@ -457,3 +467,108 @@ def test_quotient_ring_operations_match_rem_monic(x, y, n, k, j):
     assert _from_taylor(_taylor_shift(tx, j)) == rem_monic(shift(x, j), m)
     assert _taylor_step(tx, ty, j) == _taylor_add(tx, _taylor_shift(ty, j))
     assert _from_taylor(_taylor_q2(tx)) == rem_monic(substitute_power(x, 2), m)
+
+
+# ---- packed elements against the list form ----
+
+# polynomials with nonnegative coefficients and a nonzero top one, so that
+# every Taylor digit is nonnegative and the proven width is at least 1 byte
+nonneg_polys = st.builds(
+    lambda offset, coeffs, top: LaurentPoly(offset, coeffs + [top]),
+    st.integers(0, 16),
+    st.lists(st.integers(0, 10**6) | st.integers(0, 2**80), max_size=47),
+    st.integers(1, 10**6),
+)
+
+
+def _proven(x_degree, total, n, k):
+    """The byte width _digit_bits proves for a polynomial of that degree and
+    coefficient sum."""
+    return (_digit_bits(x_degree, total, n, k) + 7) // 8
+
+
+def _packed(taylor, w):
+    return [pack_digits(s, w) for s in taylor]
+
+
+def _digits(vectors, w, n):
+    return [unpack_digits(p, w, n) for p in vectors]
+
+
+@given(nonneg_polys, nonneg_polys, st.integers(1, 12), st.integers(1, 4), st.integers(0, 100))
+def test_packed_step_and_shift_match_the_list_form(x, z, n, k, j):
+    # x + q^j z has degree at most max(deg x, deg z + j) and coefficient sum
+    # eval_at_one(x) + eval_at_one(z); both operands are packed at that width
+    tx, tz = _taylor(x, n, k), _taylor(z, n, k)
+    w = _proven(max(x.degree, z.degree + j), eval_at_one(x) + eval_at_one(z), n, k)
+    assert _digits(_packed_step(_packed(tx, w), _packed(tz, w), j, n, w), w, n) == _taylor_step(tx, tz, j)
+    # the shift is the step with no addend, after a re-pack from z's own
+    # width to that of q^j z
+    wz, to = _proven(z.degree, eval_at_one(z), n, k), _proven(z.degree + j, eval_at_one(z), n, k)
+    moved = _packed_step([0] * k, _repack(_packed(tz, wz), n, wz, to), j, n, to)
+    assert _digits(moved, to, n) == _taylor_shift(tz, j)
+
+
+@given(nonneg_polys, st.integers(1, 12), st.integers(1, 4))
+def test_packed_q2_matches_the_list_form(z, n, k):
+    # z(q^2) has twice the degree and the same coefficient sum
+    tz = _taylor(z, n, k)
+    w, to = _proven(z.degree, eval_at_one(z), n, k), _proven(2 * z.degree, eval_at_one(z), n, k)
+    assert _digits(_packed_q2(_packed(tz, w), n, w, to), to, n) == _taylor_q2(tz)
+
+
+@st.composite
+def packed_dot_terms(draw):
+    # summands sign q^j x y of a packed dot at one (n, k): each factor packed
+    # at its proven width or up to two bytes wider
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    factor = st.tuples(nonneg_polys, st.integers(0, 2))
+    term = st.tuples(st.sampled_from((1, -1)), st.integers(0, 100), factor, factor)
+    return n, k, draw(st.lists(term, min_size=1, max_size=8))
+
+
+@given(packed_dot_terms())
+def test_packed_dot_matches_the_list_form(case):
+    # q^j x has degree deg x + j and the same coefficient sum
+    n, k, terms = case
+    packed, xs, ys, signs = [], [], [], []
+    xbits = ybits = 0
+    for sign, j, (x, xpad), (y, ypad) in terms:
+        tx, ty = _taylor(x, n, k), _taylor(y, n, k)
+        wx, wy = _proven(x.degree, eval_at_one(x), n, k) + xpad, _proven(y.degree, eval_at_one(y), n, k) + ypad
+        packed.append((sign, j, (wx, _packed(tx, wx)), (wy, _packed(ty, wy))))
+        xs.append(_taylor_shift(tx, j))
+        ys.append(ty)
+        signs.append(sign)
+        xbits = max(xbits, _digit_bits(x.degree + j, eval_at_one(x), n, k))
+        ybits = max(ybits, _digit_bits(y.degree, eval_at_one(y), n, k))
+    assert _packed_dot(packed, xbits, ybits, n) == _taylor_dot(xs, ys, signs)
+
+
+@given(st.lists(st.lists(st.integers(0, 255), min_size=1, max_size=9), min_size=1, max_size=4), st.integers(1, 6))
+def test_repack_widens_and_narrows(byte_vectors, extra):
+    # one-byte digits re-packed wider and back; a digit that does not fit
+    # the narrower width raises
+    count = max(map(len, byte_vectors))
+    vectors = [pack_digits(v, 1) for v in byte_vectors]
+    wide = _repack(vectors, count, 1, 1 + extra)
+    assert [unpack_digits(p, 1 + extra, count) for p in wide] == [unpack_digits(p, 1, count) for p in vectors]
+    assert _repack(wide, count, 1 + extra, 1) == vectors
+    with pytest.raises(ArithmeticError):
+        _repack([pack_digits([256], 2)], 1, 2, 1)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_a_negative_digit_raises(n):
+    # packed digits are nonnegative; a vector whose top nonzero digit is
+    # negative is a negative int, which every re-pack, and so the q -> q^2
+    # image and the dot, reject
+    for r in range(n):
+        p = -(1 << 8 * r)
+        with pytest.raises(ArithmeticError):
+            _repack([p], n, 1, 2)
+        with pytest.raises(ArithmeticError):
+            _packed_q2([p], n, 1, 1)
+        for j in (0, r + 1):
+            with pytest.raises(ArithmeticError):
+                _packed_dot([(1, j, (1, [p]), (1, [1]))], 8, 8, n)

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import classical_trinomial_alt, classical_trinomial_expand, widened_truncated_sum
+from oracles import (
+    _taylor_step,
+    classical_trinomial_alt,
+    classical_trinomial_expand,
+    unpack_digits,
+    widened_truncated_sum,
+)
 from qtrinom.polyring import ONE, ZERO, eval_at_one, make_poly, monomial, rem_monic
 from qtrinom.qcombinatorics import q_binomial, q_binomial_base
 from qtrinom import trinomials
@@ -145,6 +151,49 @@ def test_row_stream_raises_for_a_dropped_entry():
     assert stream.entry(15, 4) is not None  # every entry of a row an is kept
     with pytest.raises(DroppedRowEntry):
         stream.entry(17, 2)
+
+
+def _list_rows(n, k, last):
+    """q-Pascal rows 0..last of Z[q]/((q^n - 1)^k) in list form, each row
+    [N j] for j <= N//2, one at a time by the oracle step."""
+    one = [[0] * n for _ in range(k)]
+    one[0][0] = 1
+    row = [one]
+    yield row
+    for big in range(1, last + 1):
+        prev = row + row[-1:] if big % 2 == 0 else row
+        row = [prev[0]] + [_taylor_step(prev[j - 1], prev[j], j) for j in range(1, len(prev))]
+        yield row
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_row_stream_entries_fit_their_proven_width(n):
+    # every kept and current entry of the packed streams fits the byte width
+    # it carries and equals the list-form entry: a band that steps alone and
+    # then its full stream over the same rows (their kept entries shared),
+    # and a band resuming, at a narrower width, from a full stream's row 150.
+    # The first k Taylor vectors do not depend on k, so one list stream at
+    # k = 3 serves k = 1, 2, 3
+    last = 300
+    streams = []
+    for k in (1, 2, 3):
+        for resume_at in (None, 150):
+            full = trinomials._RowStream(n, k, None)
+            band = trinomials._RowStream(n, k, n // 2, full)
+            if resume_at is None:
+                band.entry(last, 0)  # steps alone from row 0
+                full.entry(last, 0)
+            else:
+                full.entry(resume_at, 0)
+                band.entry(last, 0)  # resumes from the full stream's row
+            streams.append((k, full, band))
+    for big, row in enumerate(_list_rows(n, 3, last)):
+        for k, full, band in streams:
+            for j, expected in enumerate(row):
+                hits = [full.kept.get((big, j))]
+                hits += [(s.bytes, s.row[j]) for s in (full, band) if s.big == big and j < len(s.row)]
+                for w, vectors in filter(None, hits):
+                    assert [unpack_digits(p, w, n) for p in vectors] == expected[:k], (n, k, big, j)
 
 
 def test_widened_window_recovers_untruncated():
