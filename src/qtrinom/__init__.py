@@ -18,7 +18,7 @@ from .polyring import (
     substitute_power,
     to_text,
 )
-from .cyclotomic import Modulus, cyclotomic, cyclotomic_power, mobius
+from .cyclotomic import Modulus, cyclotomic, cyclotomic_power
 from .qcombinatorics import binomial, q_binomial, q_binomial_base, q_integer
 from .trinomials import (
     InvalidParameters,

@@ -58,18 +58,11 @@ def _sort_key(self):
     return (self.target, tuple(sorted(self.params.items())))
 
 
-class _Task(NamedTuple):
+class VerificationTask(NamedTuple):
+    """One target at one grid point, as verify(target, **params) runs it."""
+
     target: str
     params: dict[str, int]
-
-
-class VerificationTask(_Task):
-    """One target at one grid point; params defaults to a fresh empty dict."""
-
-    __slots__ = ()
-
-    def __new__(cls, target: str, params: dict[str, int] | None = None):
-        return super().__new__(cls, target, {} if params is None else params)
 
     sort_key = _sort_key
 

@@ -1,9 +1,9 @@
 """Cyclotomic polynomials and the congruence moduli built from them.
 
-Phi_n(q) is computed by Moebius inversion over the factors q^d - 1 for
-divisors d of n, entirely in integer arithmetic; no roots of unity are ever
-represented.  A Modulus is an expanded Phi_n(q)^k with its (n, k), which
-name its multiple (q^n - 1)^k to polyring.fold; all are cached per process.
+Phi_n(q) is q^n - 1 divided by Phi_d(q) for every proper divisor d of n,
+entirely in integer arithmetic; no roots of unity are ever represented.  A
+Modulus is an expanded Phi_n(q)^k with its (n, k), which name its multiple
+(q^n - 1)^k to polyring.fold; all are cached per process.
 """
 from __future__ import annotations
 
@@ -17,47 +17,21 @@ _CACHE: dict[int, LaurentPoly] = {}
 _POWERS: dict[tuple[int, int], Modulus] = {}
 
 
-def mobius(n: int) -> int:
-    """The Moebius function: 0 on square factors, else (-1)^(#prime factors)."""
-    if n < 1:
-        raise ValueError("mobius is defined for positive integers")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
-
-
 def cyclotomic(n: int) -> LaurentPoly:
-    """The n-th cyclotomic polynomial, expanded and monic of degree phi(n)."""
+    """The n-th cyclotomic polynomial, expanded and monic of degree phi(n):
+    q^n - 1 divided by Phi_d(q) for every proper divisor d of n."""
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
     hit = _CACHE.get(n)
     if hit is not None:
         return hit
-    num = ONE
     den = ONE
-    for d in range(1, n + 1):
+    for d in range(1, n // 2 + 1):
         if n % d == 0:
-            mu = mobius(n // d)
-            if mu == 0:
-                continue
-            factor = monomial(d) - ONE
-            if mu == 1:
-                num = num * factor
-            else:
-                den = den * factor
-    # divisibility is guaranteed by the Moebius product formula; a failure
-    # here is an implementation bug, so NonExactDivision is allowed to escape
-    result = exact_div(num, den)
-    _CACHE[n] = result
+            den = den * cyclotomic(d)
+    # q^n - 1 is the product of Phi_d over all d | n, so a NonExactDivision
+    # here is an implementation bug and is allowed to escape
+    result = _CACHE[n] = exact_div(monomial(n) - ONE, den)
     return result
 
 

@@ -17,8 +17,9 @@ with no addend is the shift, _packed_q2 and _packed_dot).
 The last section is a second opinion that shares no arithmetic with
 qtrinom: both sides of each theorem evaluated at q = z + e in the dual
 numbers F_p[e]/(e^2), z a primitive n-th root of unity modulo a prime
-p = 1 (mod n).  Run as a script it checks a ladder of large n, where the
-exact path's own sides must take the same values:
+p = 1 (mod n).  The same roots give Phi_n(q) mod p as the product of
+(q - z) (cyclotomic.cyclotomic).  Run as a script it checks a ladder of
+large n, where the exact path's own sides must take the same values:
 
     PYTHONPATH=src python tests/oracles.py 60 80 100
 """
@@ -362,6 +363,16 @@ def primitive_roots(n: int, p: int) -> list[int]:
         if all(pow(z, n // r, p) != 1 for r in primes):
             return [pow(z, j, p) for j in range(1, n + 1) if math.gcd(j, n) == 1]
     raise ValueError(f"no primitive {n}-th root modulo {p}")
+
+
+def cyclotomic_mod_p(n: int) -> tuple[int, list[int]]:
+    """Phi_n(q) modulo p = dual_prime(n) as the product of (q - z) over the
+    primitive n-th roots z: (p, its coefficients from q^0 up)."""
+    p = dual_prime(n)
+    coeffs = [1]
+    for z in primitive_roots(n, p):
+        coeffs = [(lo - z * hi) % p for lo, hi in zip([0, *coeffs], [*coeffs, 0])]
+    return p, coeffs
 
 
 def _binomials(x, entries, p):

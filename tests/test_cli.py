@@ -22,6 +22,7 @@ from qtrinom.cli import (
     main,
     parse_int_list,
     report_from_json,
+    report_to_csv,
     report_to_json,
     report_to_text,
     run_verify,
@@ -162,6 +163,30 @@ def test_json_round_trip_identical_fields():
             "modulus",
             "elapsed_ms",
         }
+
+
+def test_csv_lines_are_what_the_csv_module_writes():
+    # report_to_csv joins its fields with bare commas; the csv module quotes
+    # any field that needs it, so equal lines mean no field needed quoting
+    grid = {"n": [2, 3, 5], "a": [2], "b": [1], "p": [3, 5], "k": [1]}
+    tasks, _ = expand_tasks(RunConfig(targets=list(TARGETS), grid=grid))
+    first = {}
+    for task in tasks:
+        first.setdefault(task.target, task)
+    assert set(first) == set(TARGETS)
+    reports = [run_task(task) for task in first.values()]
+    assert any(not r.holds for r in reports) and any(r.cleared_shift for r in reports)
+
+    def written(fields):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerow(fields)
+        return out.getvalue()
+
+    assert ",".join(CSV_COLUMNS) + "\n" == written(CSV_COLUMNS)
+    for r in reports:
+        params = ";".join(f"{k}={v}" for k, v in sorted(r.params.items()))
+        fields = [r.target, params, "true" if r.holds else "false", r.cleared_shift, r.elapsed_ms]
+        assert report_to_csv(r) + "\n" == written(fields), r
 
 
 def test_json_residual_is_zero_string_when_holds():
@@ -524,14 +549,15 @@ def test_unwritable_output_exits_2_without_traceback(argv, where):
 def test_verify_imports_only_what_the_run_uses():
     # a cold `verify` pays for no module it does not use: no dataclasses (and
     # the inspect, ast and dis it imports), logging only for the tau0 note,
-    # csv only for --format csv, multiprocessing only for --jobs > 1, and
-    # neither array nor struct for the Kronecker word decode, which the
-    # theorem-a rhs product at n=12 reaches.  -S keeps site-packages' .pth
-    # hooks out of what is measured
+    # never csv (its lines need no quoting), multiprocessing only for
+    # --jobs > 1, and neither array nor struct for the Kronecker word decode,
+    # which the theorem-a rhs product at n=12 reaches.  -S keeps
+    # site-packages' .pth hooks out of what is measured
     script = (
         "import runpy, sys\n"
+        "fmt = sys.argv[1]\n"
         "for args in (['--target', 'babbage', '--p', '3'], ['--target', 'theorem-a', '--n', '12', '--a', '3', '--b', '1']):\n"
-        "    sys.argv = ['qtrinom', 'verify', *args, '--format', 'json']\n"
+        "    sys.argv = ['qtrinom', 'verify', *args, '--format', fmt]\n"
         "    try:\n"
         "        runpy.run_module('qtrinom.cli', run_name='__main__', alter_sys=True)\n"
         "    except SystemExit as exc:\n"
@@ -539,10 +565,15 @@ def test_verify_imports_only_what_the_run_uses():
         "unused = ('dataclasses', 'inspect', 'logging', 'csv', 'multiprocessing', 'array', 'struct')\n"
         "print(*(name for name in unused if name in sys.modules), file=sys.stderr)\n"
     )
-    proc = subprocess.run([sys.executable, "-S", "-c", script], env=_cli_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    reports = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert [r["target"] for r in reports] == ["babbage", "theorem-a"]
-    assert all(r["holds"] for r in reports)
-    assert proc.stderr == "\n"
+    for fmt in ("json", "csv"):
+        proc = subprocess.run([sys.executable, "-S", "-c", script, fmt], env=_cli_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        if fmt == "json":
+            reports = [json.loads(line) for line in proc.stdout.splitlines()]
+            assert [(r["target"], r["holds"]) for r in reports] == [("babbage", True), ("theorem-a", True)]
+        else:
+            rows = list(csv.reader(io.StringIO(proc.stdout)))
+            assert rows[0::2] == [CSV_COLUMNS, CSV_COLUMNS]
+            assert [row[:3] for row in rows[1::2]] == [["babbage", "p=3", "true"], ["theorem-a", "a=3;b=1;n=12", "true"]]
+        assert proc.stderr == "\n", fmt

@@ -4,23 +4,14 @@ import math
 
 import pytest
 
-from qtrinom.cyclotomic import _CACHE, Modulus, cyclotomic, cyclotomic_power, mobius
+from oracles import cyclotomic_mod_p
+from qtrinom.cyclotomic import _CACHE, Modulus, cyclotomic, cyclotomic_power
 from qtrinom.polyring import ONE, eval_at_one, make_poly, monomial
 from qtrinom.qcombinatorics import q_integer
 
 
 def totient(n):
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-
-
-def test_mobius_examples():
-    assert mobius(1) == 1
-    assert mobius(12) == 0
-    # two distinct prime factors
-    assert mobius(6) == 1
-    assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
-    with pytest.raises(ValueError):
-        mobius(0)
 
 
 def test_cyclotomic_examples():
@@ -58,6 +49,15 @@ def test_divisor_product_recovers_qn_minus_1():
             if n % d == 0:
                 prod = prod * cyclotomic(d)
         assert prod == monomial(n) - ONE, n
+
+
+def test_matches_the_product_over_primitive_roots():
+    # an oracle that shares no arithmetic with qtrinom: Phi_n is the product
+    # of (q - z) over the primitive n-th roots z modulo a prime p = 1 (mod n)
+    for n in range(1, 121):
+        p, expected = cyclotomic_mod_p(n)
+        poly = cyclotomic(n)
+        assert poly.offset == 0 and [c % p for c in poly.coeffs] == expected, n
 
 
 def test_degree_is_totient():
