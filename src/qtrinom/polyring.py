@@ -12,8 +12,12 @@ coefficients are products of nonzero ends) skip it through _rebuild.
 Coefficients are plain Python ints; all arithmetic is exact at any
 magnitude.  Large products are computed by Kronecker substitution (packing
 the coefficient vector into one big integer), which hands the real work to
-CPython's big-int multiplication.  A two-term factor (1 - q^up)/(1 - q^down)
-needs no product: _step applies it in linear time.
+CPython's big-int multiplication.  When the longer factor is an image
+d(q^s), s >= 2, such as a binomial in base q^2, each residue class mod s of
+the other factor is multiplied by d alone and lands on its own exponents, so
+the kernels see operands s times shorter, and a class with a single term is
+a scalar multiple of d.  A two-term factor (1 - q^up)/(1 - q^down) needs no
+product: _step applies it in linear time.
 
 The quotient ring Z[q]/((q^n - 1)^k) has its own form: per residue class
 mod n, the Taylor coefficients at y = q^n = 1 (_taylor), and _from_taylor
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import re
 import sys
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from math import comb
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
@@ -144,6 +148,18 @@ class LaurentPoly:
         if len(a) == 1:
             c = a[0]
             return _rebuild(off, b if c == 1 else tuple(map(c.__mul__, b)))
+        s = _stride(b)
+        if s > 1:
+            # b is c(q^s): class r of a times c lands on exponents r mod s
+            # only; each class is trimmed to its nonzero span, so a class with
+            # one nonzero term takes the scalar path above
+            c = _rebuild(0, b[::s])
+            out = [0] * (len(a) + len(b) - 1)
+            for r in range(min(s, len(a))):
+                p = LaurentPoly(0, a[r::s]) * c
+                i = r + s * p.offset
+                out[i : i + s * len(p.coeffs) : s] = p.coeffs
+            return _rebuild(off, tuple(out))
         if len(a) * len(b) <= _SCHOOLBOOK_LIMIT:
             return _rebuild(off, tuple(_mul_schoolbook(a, b)))
         return _rebuild(off, tuple(_mul_kronecker(a, b)))
@@ -219,6 +235,16 @@ def make_poly(pairs: Iterable[tuple[int, int]]) -> LaurentPoly:
 # crossover found by benchmarking: below this schoolbook wins, above it the
 # packed big-int product does
 _SCHOOLBOOK_LIMIT = 256
+
+
+def _stride(c: Sequence[int]) -> int:
+    """The s with c = d(q^s): the index of the first nonzero c[i], i >= 1,
+    when every other class mod s is zero, else 1.  c[0] and c[-1] are
+    nonzero and len(c) >= 2; a dense c, c[1] != 0, costs one index test."""
+    if c[1]:
+        return 1
+    s = next(compress(count(2), islice(c, 2, None)))
+    return 1 if any(any(c[r::s]) for r in range(1, s)) else s
 
 
 def _mul_schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:

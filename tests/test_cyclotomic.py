@@ -6,7 +6,16 @@ import pytest
 
 from oracles import cyclotomic_mod_p
 from qtrinom.cyclotomic import _CACHE, Modulus, cyclotomic, cyclotomic_power
-from qtrinom.polyring import ONE, eval_at_one, make_poly, monomial
+from qtrinom.polyring import (
+    ONE,
+    LaurentPoly,
+    _mul_schoolbook,
+    _stride,
+    eval_at_one,
+    make_poly,
+    monomial,
+    substitute_power,
+)
 from qtrinom.qcombinatorics import q_integer
 
 
@@ -85,6 +94,26 @@ def test_value_at_one():
 def test_prime_cyclotomic_is_q_integer():
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
         assert cyclotomic(p) == q_integer(p)
+
+
+def test_prime_power_cyclotomic_is_a_q_power_image():
+    # Phi_(p^j)(q) = Phi_p(q^(p^(j-1))), so its products take the class path
+    for p in (2, 3, 5, 7):
+        j = 2
+        while p**j <= 81:
+            poly = cyclotomic(p**j)
+            assert poly == substitute_power(cyclotomic(p), p ** (j - 1)), (p, j)
+            assert _stride(poly.coeffs) == p ** (j - 1), (p, j)
+            j += 1
+
+
+def test_powers_match_the_schoolbook_product():
+    for n in range(1, 41):
+        base = cyclotomic(n).coeffs
+        expected = base
+        for k in range(1, 4):
+            assert cyclotomic_power(n, k).poly == LaurentPoly(0, expected), (n, k)
+            expected = _mul_schoolbook(expected, base)
 
 
 def test_cache_idempotent():

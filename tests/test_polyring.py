@@ -32,6 +32,7 @@ from qtrinom.polyring import (
     _packed_q2,
     _packed_step,
     _repack,
+    _stride,
     _taylor,
     _unpack,
     eval_at_one,
@@ -45,6 +46,7 @@ from qtrinom.polyring import (
     substitute_power,
     to_text,
 )
+from qtrinom.qcombinatorics import q_binomial
 
 
 def test_make_poly_examples():
@@ -419,6 +421,45 @@ def product_operands(draw):
 def test_product_results_are_canonical(operands):
     x, y = operands
     _check_canonical(x * y, LaurentPoly(x.offset + y.offset, _mul_schoolbook(x.coeffs, y.coeffs)))
+
+
+@st.composite
+def strided_operands(draw):
+    # x and the q -> q^s image of y, shifted by d.  Each class of x mod s is
+    # multiplied by y on its own, so the class length, not len(x), sits on
+    # either side of the kernel choice; with a class length of 1, x may have
+    # fewer than s terms, and some classes of x may be zero throughout
+    s = draw(st.integers(2, 8))
+    short = draw(st.integers(1, 8))
+    length = draw(st.integers((short - 1) * s + 1, short * s))
+    limit = _SCHOOLBOOK_LIMIT // short
+    long = draw(st.integers(limit + 1, limit + 64) | st.integers(2, limit))
+    zero_classes = draw(st.sets(st.integers(1, s - 1)))
+    xs = draw(st.lists(coeff_st, min_size=length, max_size=length))
+    xs = [0 if i % s in zero_classes else c for i, c in enumerate(xs)]
+    ys = draw(st.lists(coeff_st, min_size=long, max_size=long))
+    xs[0], xs[-1], ys[0], ys[-1] = xs[0] or 1, xs[-1] or -1, ys[0] or 1, ys[-1] or -1
+    x = LaurentPoly(draw(st.integers(-32, 32)), xs)
+    y = LaurentPoly(draw(st.integers(-32, 32)), ys)
+    return x, s, y, draw(st.integers(-32, 32))
+
+
+@given(strided_operands())
+def test_products_with_a_q_power_image_match_schoolbook(case):
+    x, s, y, d = case
+    image = shift(substitute_power(y, s), d)
+    expected = LaurentPoly(x.offset + image.offset, _mul_schoolbook(x.coeffs, image.coeffs))
+    _check_canonical(x * image, expected)
+    _check_canonical(image * x, expected)
+
+
+def test_stride_examples():
+    assert _stride((1, -2, 3)) == 1
+    assert _stride(substitute_power(q_binomial(8, 3), 2).coeffs) == 2
+    assert _stride(((ONE - monomial(7)) ** 2).coeffs) == 7
+    # the first gap, 2, is not a stride: q^3 sits in class 1 mod 2
+    assert _stride(from_text("q^3 + q^2 + 1").coeffs) == 1
+    assert _stride(from_text("q^6 + q^3 + 1").coeffs) == 3
 
 
 @st.composite
