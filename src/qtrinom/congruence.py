@@ -4,9 +4,9 @@ The checker reduces lhs - rhs modulo an expanded Phi_n(q)^k.  Laurent
 differences are first cleared by the minimal power q^M, which is sound
 because the constant term of Phi_n is +-1, so q is a unit in the quotient
 ring; M is recorded in every report.  Each term
-[n-k k] (1-q^n)/(1-q^(n-k)) of the summation lemmas is a polynomial,
-built by one exact two-term step (polyring._step) with no product, so
-the lemmas are checked on their own sums.
+[n-k k] (1-q^n)/(1-q^(n-k)) of the summation lemmas is the polynomial
+[n-k k] + q^(n-k) [n-k-1 k-1], two memo reads added into one list with no
+product or division, so the lemmas are checked on their own sums.
 
 Verification targets, each described once in TARGETS and each run by
 verify(target, **params), for example verify("theorem-a", a=2, b=1, n=2):
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import time
+from operator import add, sub
 from typing import Callable, NamedTuple
 
 from .cyclotomic import Modulus, cyclotomic_power
@@ -30,7 +31,6 @@ from .polyring import (
     ONE,
     ZERO,
     LaurentPoly,
-    _step,
     exact_div,  # noqa: F401  unused here; perfbench/traced_child.py patches congruence.exact_div
     fold,
     monomial,
@@ -136,15 +136,24 @@ def rhs_theorem(kind: TrinomialKind, a: int, b: int, n: int) -> LaurentPoly:
 
 def _lemma_sum(n: int, weight_exp) -> LaurentPoly:
     # the summation lemmas' side sum_k (-1)^k q^w(k) L_k.  Term k is
-    # L_k = [n-k k] (1-q^n)/(1-q^(n-k)), one exact step: L_k is a polynomial,
-    # so the step's NonExactDivision never fires on valid input.  L_0 is
-    # taken as 1, which sidesteps the removable singularity at n=0.
-    total = ZERO
-    for k in range(0, n // 2 + 1):
-        term = LaurentPoly(0, _step(q_binomial(n - k, k).coeffs, n, n - k)) if k else ONE
-        sign = -1 if k % 2 else 1
-        total = total + shift(term, weight_exp(k)) * sign
-    return total
+    # L_k = [n-k k] (1-q^n)/(1-q^(n-k)) = [n-k k] + q^(n-k) [n-k-1 k-1]:
+    # split 1 - q^n as (1 - q^(n-k)) + q^(n-k) (1 - q^k), and
+    # [n-k k] (1-q^k)/(1-q^(n-k)) is [n-k-1 k-1].  L_0 is taken as 1, which
+    # sidesteps the removable singularity at n=0.  [n-k-1 k-1] is asked for
+    # first, so [n-k k] is one step from it; a lone n thus also keeps the
+    # anti-diagonal of n-2 in the memo.  Every shifted, signed binomial is
+    # added in place into one list, sized up front (binomials start at q^0).
+    parts = [(weight_exp(0), add, ONE.coeffs)]
+    for k in range(1, n // 2 + 1):
+        op, w = sub if k % 2 else add, weight_exp(k)
+        parts.append((w + n - k, op, q_binomial(n - k - 1, k - 1).coeffs))
+        parts.append((w, op, q_binomial(n - k, k).coeffs))
+    lo = min(w for w, _, _ in parts)
+    out = [0] * (max(w + len(c) for w, _, c in parts) - lo)
+    for w, op, c in parts:
+        i = w - lo
+        out[i : i + len(c)] = map(op, out[i : i + len(c)], c)
+    return LaurentPoly(lo, out)
 
 
 # ---- hypothesis checks, worded as the CLI prints them when skipping ----

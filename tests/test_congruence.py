@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import congruent_by_difference, lemma_sides_cleared, lemma_sum, rhs_theorem_by_kind
 
 import qtrinom.congruence as congruence_module
+import qtrinom.qcombinatorics as qcombinatorics
 from qtrinom.congruence import (
     EXACT,
     INT,
@@ -444,11 +445,23 @@ def test_lemma_verdicts_match_denominator_cleared_sides():
 
 
 def test_lemma_terms_are_exact_steps():
-    # [n-k k] (1-q^n)/(1-q^(n-k)) is a polynomial, so the step's
+    # _lemma_sum reads term k as [n-k k] + q^(n-k) [n-k-1 k-1]; the exact
+    # step [n-k k] (1-q^n)/(1-q^(n-k)) is its slow oracle, and the step's
     # NonExactDivision guard never fires on valid input
     for n in range(2, 81):
         for k in range(1, n // 2 + 1):
-            _step(q_binomial(n - k, k).coeffs, n, n - k)
+            step = LaurentPoly(0, _step(q_binomial(n - k, k).coeffs, n, n - k))
+            assert q_binomial(n - k, k) + shift(q_binomial(n - k - 1, k - 1), n - k) == step, (n, k)
+
+
+@pytest.mark.parametrize("n", [60, 61])
+def test_lemma_sum_memo_footprint(monkeypatch, n):
+    # on a cleared memo, _lemma_sum(n) keeps [n-k k] and [n-k-1 k-1] for
+    # 1 <= k <= n/2, less those equal to 1: n - 3 entries at n = 60 and 61.
+    # The bound n admits that anti-diagonal of n - 2 and no step of a walk
+    monkeypatch.setattr(qcombinatorics, "_QBINOM", {})
+    congruence_module._lemma_sum(n, LEMMA_SUMS["lemma-theta"][0])
+    assert len(qcombinatorics._QBINOM) <= n
 
 
 @pytest.mark.parametrize("name", ["lemma-theta", "lemma-theta-inv"])
