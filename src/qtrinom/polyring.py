@@ -10,26 +10,28 @@ are canonical by construction (shifts, negations, products over Z, whose end
 coefficients are products of nonzero ends) skip it through _rebuild.
 
 Coefficients are plain Python ints; all arithmetic is exact at any
-magnitude.  Large products are computed by Kronecker substitution (packing
-the coefficient vector into one big integer), which hands the real work to
-CPython's big-int multiplication.  When the longer factor is an image
-d(q^s), s >= 2, such as a binomial in base q^2, each residue class mod s of
-the other factor is multiplied by d alone and lands on its own exponents, so
-the kernels see operands s times shorter, and a class with a single term is
-a scalar multiple of d.  A two-term factor (1 - q^up)/(1 - q^down) needs no
-product: _step applies it in linear time.
+magnitude.  A product whose shorter factor has at most _SCHOOLBOOK_ROWS
+coefficients, or whose lengths multiply to at most _SCHOOLBOOK_LIMIT, is
+taken by schoolbook, which skips zero terms; larger ones by Kronecker
+substitution (packing the coefficient vector into one big integer), which
+hands the real work to CPython's big-int multiplication.  When the longer
+factor is an image d(q^s), s >= 2, such as a binomial in base q^2, each
+residue class mod s of the other factor is multiplied by d alone and lands
+on its own exponents, so the kernels see operands s times shorter, and a
+class with a single term is a scalar multiple of d.  A two-term factor
+(1 - q^up)/(1 - q^down) needs no product: _step applies it in linear time.
 
-The quotient ring Z[q]/((q^n - 1)^k) has its own form: per residue class
-mod n, the Taylor coefficients at y = q^n = 1 (_taylor), and _from_taylor
-gives back the Euclidean remainder modulo (q^n - 1)^k, so fold, the
-remainder by that modulus, is the one constructor followed by the basis
-change.  Where every Taylor digit is nonnegative, as in a q-Pascal row,
-each vector is packed into one int at a proven byte width: the step
-x + q^j z (_packed_step), which with x = 0 is the shift, and q -> q^2
-(_packed_q2) are then a few integer operations and byte-strided copies,
-and _packed_dot sums signed products of packed elements by Kronecker
-substitution, reading the sum's digits back once.  Every other monic
-modulus takes rem_monic, long division.
+The quotient ring Z[q]/((q^n - 1)^k) has its own form: per residue class mod
+n, the Taylor coefficients at y = q^n = 1 (_taylor, one slice per class and
+one C-level sum per Taylor digit), and _from_taylor gives back the Euclidean
+remainder modulo (q^n - 1)^k, so fold, the remainder by that modulus, is the
+one constructor followed by the basis change.  Where every Taylor digit is
+nonnegative, as in a q-Pascal row, each vector is packed into one int at a
+proven byte width: the step x + q^j z (_packed_step), which with x = 0 is
+the shift, and q -> q^2 (_packed_q2) are then a few integer operations and
+byte-strided copies, and _packed_dot sums signed products of packed elements
+by Kronecker substitution, reading the sum's digits back once.  Every other
+monic modulus takes rem_monic, long division.
 """
 from __future__ import annotations
 
@@ -160,7 +162,7 @@ class LaurentPoly:
                 i = r + s * p.offset
                 out[i : i + s * len(p.coeffs) : s] = p.coeffs
             return _rebuild(off, tuple(out))
-        if len(a) * len(b) <= _SCHOOLBOOK_LIMIT:
+        if len(a) <= _SCHOOLBOOK_ROWS or len(a) * len(b) <= _SCHOOLBOOK_LIMIT:
             return _rebuild(off, tuple(_mul_schoolbook(a, b)))
         return _rebuild(off, tuple(_mul_kronecker(a, b)))
 
@@ -235,6 +237,11 @@ def make_poly(pairs: Iterable[tuple[int, int]]) -> LaurentPoly:
 # crossover found by benchmarking: below this schoolbook wins, above it the
 # packed big-int product does
 _SCHOOLBOOK_LIMIT = 256
+# a factor this short takes schoolbook whatever the other's length: a few
+# rows beat packing the long factor once its coefficients are wide, as in a
+# binomial times a short brace; on dense 8-bit factors Kronecker wins from
+# about 4 rows, and 8 keeps the self-test's 13-term products on Kronecker
+_SCHOOLBOOK_ROWS = 8
 
 
 def _stride(c: Sequence[int]) -> int:
@@ -444,23 +451,21 @@ def _taylor(x: LaurentPoly, n: int, k: int) -> list[list[int]]:
     """The Taylor vectors of the ordinary polynomial x in Z[q]/((q^n - 1)^k)."""
     coeffs, offset = x.coeffs, x.offset
     # coeffs[i0::n] holds y^j0, y^(j0+1), ... of class (offset + i0) mod n,
-    # with j0 = (offset + i0) // n equal to base or base + 1
-    base = offset // n
+    # with j0 = (offset + i0) // n: base before the wrap, i0 < wrap, and
+    # base + 1 after it, where class i0 is r = i0 - wrap; so the classes
+    # after the wrap come first in every vector
+    base, wrap = offset // n, n - offset % n
+    cols = [coeffs[i0::n] for i0 in range(n)]
+    before, after = cols[:wrap], cols[wrap:]
+    taylor = [[*map(sum, after), *map(sum, before)]]
+    # row[t] = C(base + t, i); each row is the running sums of the row before
+    # (hockey-stick identity), and the classes after the wrap start at row[1]
     rows = -(-len(coeffs) // n)
-    # weights[l][t] = C(base + t, l); each row is the running sums of the row
-    # before (hockey-stick identity)
-    weights = [[1] * (rows + 1)]
+    row = [1] * (rows + 1)
     for i in range(1, k):
-        weights.append(list(accumulate(weights[-1][:rows], initial=comb(base, i))))
-    by_start = (weights, [w[1:] for w in weights])
-    taylor = [[0] * n for _ in range(k)]
-    for i0 in range(n):
-        col = coeffs[i0::n]
-        j0, r = divmod(offset + i0, n)
-        w = by_start[j0 - base]
-        taylor[0][r] = sum(col)
-        for i in range(1, k):
-            taylor[i][r] = sum(map(mul, w[i], col))
+        row = list(accumulate(row[:rows], initial=comb(base, i)))
+        late = row[1:]
+        taylor.append([sum(map(mul, late, col)) for col in after] + [sum(map(mul, row, col)) for col in before])
     return taylor
 
 
