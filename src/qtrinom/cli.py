@@ -49,27 +49,28 @@ class WriteFailed(Exception):
     """The output stream refused a write, flush or close, as a full device does."""
 
 
+def _params_text(params: dict[str, int]) -> str:
+    """A task's parameters as the reports and messages word them: a=2 b=1 n=3."""
+    return " ".join(f"{k}={v}" for k, v in sorted(params.items()))
+
+
 class TaskFailed(Exception):
     """A verification task raised something other than a hypothesis failure:
     an internal fault, reported with the task it happened in."""
 
     def __init__(self, task: VerificationTask, exc: BaseException):
-        params = " ".join(f"{k}={v}" for k, v in sorted(task.params.items()))
-        super().__init__(f"{task.target} {params}: {type(exc).__name__}: {exc}")
+        super().__init__(f"{task.target} {_params_text(task.params)}: {type(exc).__name__}: {exc}")
 
 
-class RunConfig:
-    """The options of one verify run: plain mutable fields, never compared."""
-
-    def __init__(self, targets: list[str], grid: dict[str, list[int]] | None = None, format: str = "text",
-                 jobs: int = 1, fail_fast: bool = False, out: str | None = None):
-        self.targets = targets
-        # each grid parameter's values, keyed by its name in TargetSpec.params
-        self.grid = {} if grid is None else grid
-        self.format = format
-        self.jobs = jobs
-        self.fail_fast = fail_fast
-        self.out = out
+# verify's grid flags and their help; each one's values are keyed by its
+# name in TargetSpec.params
+GRID_FLAGS = {
+    "n": "n values: lo..hi or comma list",
+    "a": "a values: lo..hi or comma list",
+    "b": "b values: lo..hi or comma list",
+    "p": "primes: comma list or lo..hi",
+    "k": "k values for lemma-2.1 (default: all 1..n-1)",
+}
 
 
 def parse_int_list(spec: str, flag: str) -> list[int]:
@@ -94,14 +95,14 @@ def parse_int_list(spec: str, flag: str) -> list[int]:
     return values
 
 
-def _grid(cfg: RunConfig, target: str, name: str) -> list[int]:
-    values = cfg.grid.get(name)
+def _grid(grid: dict[str, list[int]], target: str, name: str) -> list[int]:
+    values = grid.get(name)
     if not values:
         raise UsageError(f"target {target} requires --{name}")
     return values
 
 
-def expand_tasks(cfg: RunConfig) -> tuple[list[VerificationTask], list[str]]:
+def expand_tasks(targets: list[str], grid: dict[str, list[int]]) -> tuple[list[VerificationTask], list[str]]:
     """Expand the parameter grid per target, skipping invalid combinations.
 
     Each target's grid is the product of its parameters' values, and a point
@@ -109,28 +110,27 @@ def expand_tasks(cfg: RunConfig) -> tuple[list[VerificationTask], list[str]]:
     deduplicated, deterministically sorted task list plus one warning line
     per skipped combination.
     """
-    if not cfg.targets:
+    if not targets:
         raise UsageError("--target names no target")
     tasks: dict = {}
     warnings: list[str] = []
-    for target in cfg.targets:
+    for target in targets:
         spec = TARGETS.get(target)
         if spec is None:
             raise UsageError(
                 f"unknown target {target!r}; choose from: {', '.join(TARGETS)}"
             )
-        if "k" in spec.params and not cfg.grid.get("k"):
+        if "k" in spec.params and not grid.get("k"):
             # the one default grid: k (lemma-2.1) runs over every valid 1..n-1
-            points = ((n, k) for n in _grid(cfg, target, "n") for k in range(1, n))
+            points = ((n, k) for n in _grid(grid, target, "n") for k in range(1, n))
         else:
-            points = itertools.product(*(_grid(cfg, target, name) for name in spec.params))
+            points = itertools.product(*(_grid(grid, target, name) for name in spec.params))
         for point in points:
             params = dict(zip(spec.params, point))
             try:
                 spec.check(**params)
             except InvalidParameters as exc:
-                pretty = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
-                warnings.append(f"skipping {target} {pretty}: {exc}")
+                warnings.append(f"skipping {target} {_params_text(params)}: {exc}")
                 continue
             task = VerificationTask(target, params)
             tasks[task.sort_key()] = task
@@ -181,9 +181,8 @@ def _modulus_text(report: CongruenceReport) -> str:
 
 
 def report_to_text(report: CongruenceReport) -> str:
-    params = " ".join(f"{k}={v}" for k, v in sorted(report.params.items()))
     status = "ok  " if report.holds else "FAIL"
-    line = f"{status} {report.target} {params} mod={_modulus_text(report)}"
+    line = f"{status} {report.target} {_params_text(report.params)} mod={_modulus_text(report)}"
     if report.cleared_shift:
         line += f" shift={report.cleared_shift}"
     if not report.holds:
@@ -251,24 +250,28 @@ def _emit_stream(reports: Iterable[CongruenceReport], fmt: str, stream: IO[str],
     return 1 if any_failed else 0
 
 
-def run_verify(cfg: RunConfig, stream: IO[str] | None = None, err: IO[str] | None = None) -> int:
+def run_verify(args: argparse.Namespace, stream: IO[str] | None = None, err: IO[str] | None = None) -> int:
     """Expand, execute, and emit; returns the process exit code."""
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     err = err if err is not None else sys.stderr
-    tasks, warnings = expand_tasks(cfg)
+    targets = [t for chunk in args.target for t in chunk.split(",") if t]
+    grid = {name: parse_int_list(spec, f"--{name}") for name in GRID_FLAGS if (spec := getattr(args, name))}
+    tasks, warnings = expand_tasks(targets, grid)
     for line in warnings:
         print(f"qtrinom: warning: {line}", file=err)
     close_stream = False
     if stream is None:
-        if cfg.out:
+        if args.out:
             try:
-                stream = open(cfg.out, "w")
+                stream = open(args.out, "w")
             except OSError as exc:
-                raise UsageError(f"cannot write --out {cfg.out}: {exc.strerror}") from None
+                raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from None
             close_stream = True
         else:
             stream = sys.stdout
     # more workers than tasks or CPUs only adds start-up cost
-    jobs = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
+    jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
     try:
         if jobs > 1:
             import multiprocessing
@@ -277,8 +280,8 @@ def run_verify(cfg: RunConfig, stream: IO[str] | None = None, err: IO[str] | Non
                 # imap preserves submission order, which is already the
                 # deterministic sorted order
                 reports = pool.imap(run_task, tasks, chunksize=1)
-                return _emit_stream(_name_faults(tasks, reports), cfg.format, stream, cfg.fail_fast)
-        return _emit_stream(_name_faults(tasks, map(run_task, tasks)), cfg.format, stream, cfg.fail_fast)
+                return _emit_stream(_name_faults(tasks, reports), args.format, stream, args.fail_fast)
+        return _emit_stream(_name_faults(tasks, map(run_task, tasks)), args.format, stream, args.fail_fast)
     finally:
         if close_stream:
             _on_stream(stream.close)
@@ -287,43 +290,28 @@ def run_verify(cfg: RunConfig, stream: IO[str] | None = None, err: IO[str] | Non
 # ---- compute ----
 
 
-def run_compute(args: argparse.Namespace) -> int:
-    def need(name: str) -> int:
-        value = getattr(args, name)
-        if value is None:
-            raise UsageError(f"--object {args.object} requires --{name}")
-        return value
+# each object: the flags it needs, in the order a missing one is reported,
+# and how it is built from the parsed arguments (an int or a LaurentPoly)
+OBJECTS = {
+    "qbinom": (("n", "m"), lambda x: q_binomial_base(x.n, x.m, 1 if x.base is None else x.base)),
+    "cyclotomic": (("n",), lambda x: cyclotomic(x.n) if x.k is None else cyclotomic_power(x.n, x.k).poly),
+    "trinomial": (("n", "m"), lambda x: classical_trinomial(x.n, x.m)),
+    "qtrinomial": (("kind", "n", "m"), lambda x: q_trinomial(TrinomialKind(x.kind), x.n, x.m)),
+    "truncated": (("kind", "a", "b", "n"),
+                  lambda x: truncated_q_trinomial(TrinomialKind(x.kind), x.a, x.b, x.n)),
+    "theta": (("n",), lambda x: theta(x.n)),
+    "vartheta": (("n",), lambda x: vartheta(x.n)),
+}
 
-    obj = args.object
-    if obj == "qbinom":
-        result = q_binomial_base(need("n"), need("m"), 1 if args.base is None else args.base)
-    elif obj == "cyclotomic":
-        n = need("n")
-        if n < 1:
-            raise UsageError("cyclotomic needs n >= 1")
-        result = cyclotomic(n) if args.k is None else cyclotomic_power(n, args.k).poly
-    elif obj == "trinomial":
-        result = classical_trinomial(need("n"), need("m"))
-    elif obj == "qtrinomial":
-        result = q_trinomial(_parse_kind(args), need("n"), need("m"))
-    elif obj == "truncated":
-        result = truncated_q_trinomial(_parse_kind(args), need("a"), need("b"), need("n"))
-    elif obj == "theta":
-        result = theta(need("n"))
-    elif obj == "vartheta":
-        result = vartheta(need("n"))
-    else:  # pragma: no cover - argparse choices prevent this
-        raise UsageError(f"unknown object {obj!r}")
-    text = str(result) if obj == "trinomial" else to_text(result)
-    _on_stream(sys.stdout.write, text + "\n")
+
+def run_compute(args: argparse.Namespace) -> int:
+    flags, build = OBJECTS[args.object]
+    for name in flags:
+        if getattr(args, name) is None:
+            raise UsageError(f"--object {args.object} requires --{name}")
+    _on_stream(sys.stdout.write, f"{build(args)}\n")
     _on_stream(sys.stdout.flush)
     return 0
-
-
-def _parse_kind(args: argparse.Namespace) -> TrinomialKind:
-    if not args.kind:
-        raise UsageError(f"--object {args.object} requires --kind")
-    return TrinomialKind(args.kind)
 
 
 # ---- argument parsing ----
@@ -339,20 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run verification sweeps over parameter grids")
     v.add_argument("--target", action="append", required=True,
                    help="verification target (repeatable, comma lists allowed)")
-    v.add_argument("--n", help="n values: lo..hi or comma list")
-    v.add_argument("--a", help="a values: lo..hi or comma list")
-    v.add_argument("--b", help="b values: lo..hi or comma list")
-    v.add_argument("--p", help="primes: comma list or lo..hi")
-    v.add_argument("--k", help="k values for lemma-2.1 (default: all 1..n-1)")
+    for name, text in GRID_FLAGS.items():
+        v.add_argument(f"--{name}", help=text)
     v.add_argument("--format", choices=("text", "json", "csv"), default="text")
     v.add_argument("--jobs", type=int, default=1, help="worker processes")
     v.add_argument("--fail-fast", action="store_true", help="stop at first failure")
     v.add_argument("--out", help="write the report stream to FILE")
 
     c = sub.add_parser("compute", help="print one exact polynomial or integer")
-    c.add_argument("--object", required=True,
-                   choices=("qbinom", "cyclotomic", "trinomial", "qtrinomial",
-                            "truncated", "theta", "vartheta"))
+    c.add_argument("--object", required=True, choices=OBJECTS)
     c.add_argument("--kind", choices=[k.value for k in TrinomialKind])
     c.add_argument("--n", type=int)
     c.add_argument("--m", type=int)
@@ -364,23 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            if args.jobs < 1:
-                raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-            cfg = RunConfig(
-                targets=[t for chunk in args.target for t in chunk.split(",") if t],
-                grid={name: parse_int_list(spec, f"--{name}")
-                      for name in ("n", "a", "b", "p", "k") if (spec := getattr(args, name))},
-                format=args.format,
-                jobs=args.jobs,
-                fail_fast=args.fail_fast,
-                out=args.out,
-            )
-            return run_verify(cfg)
-        return run_compute(args)
+        return run_verify(args) if args.command == "verify" else run_compute(args)
     except TaskFailed as exc:
         print(f"qtrinom: internal error in {exc}", file=sys.stderr)
         return 3

@@ -24,6 +24,20 @@ def test_sweep_within_bounds_exits_0_with_a_reading():
     assert " MiB (floor " in proc.stdout and " CPU " in proc.stdout
 
 
+def test_skip_warnings_are_counted_in_the_reading():
+    # p = 4 is not prime, so the sweep skips it; its warning is counted, not shown
+    proc = _run("--target", "babbage", "--p", "3,4,5")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(" s, 1 skipped\n")
+    assert "skipping" not in proc.stderr
+
+
+def test_other_child_stderr_lines_pass_through():
+    proc = _run("--target", "theorem-a", "--n", "1")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("qtrinom: error: target theorem-a requires --a\n")
+
+
 def test_failed_check_exits_1_and_names_the_exit_code():
     # cor-plain does not hold at (a, b, p) = (2, 1, 3)
     proc = _run("--target", "cor-plain", "--a", "2", "--b", "1", "--p", "3")

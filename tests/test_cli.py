@@ -16,8 +16,9 @@ import pytest
 import qtrinom.cli as cli_module
 from qtrinom.cli import (
     CSV_COLUMNS,
-    RunConfig,
+    OBJECTS,
     UsageError,
+    build_parser,
     expand_tasks,
     main,
     parse_int_list,
@@ -46,50 +47,42 @@ def test_parse_int_list():
 
 
 def test_expand_tasks_theorem_grid():
-    cfg = RunConfig(targets=["theorem-a"], grid={"n": [1, 2], "a": [2], "b": [1]})
-    tasks, warnings = expand_tasks(cfg)
+    tasks, warnings = expand_tasks(["theorem-a"], {"n": [1, 2], "a": [2], "b": [1]})
     assert [t.params for t in tasks] == [{"a": 2, "b": 1, "n": 1}, {"a": 2, "b": 1, "n": 2}]
     assert warnings == []
 
 
 def test_expand_tasks_skips_with_warnings():
-    cfg = RunConfig(targets=["theorem-a"], grid={"n": [0, 1], "a": [2, 1], "b": [1]})
-    tasks, warnings = expand_tasks(cfg)
+    tasks, warnings = expand_tasks(["theorem-a"], {"n": [0, 1], "a": [2, 1], "b": [1]})
     assert [t.params for t in tasks] == [{"a": 2, "b": 1, "n": 1}]
     assert len(warnings) == 3  # (2,1,0), (1,1,0), (1,1,1)
     assert all("skipping" in w for w in warnings)
 
 
 def test_expand_tasks_prime_filtering():
-    cfg = RunConfig(targets=["babbage"], grid={"p": [2, 3, 4, 5]})
-    tasks, warnings = expand_tasks(cfg)
+    tasks, warnings = expand_tasks(["babbage"], {"p": [2, 3, 4, 5]})
     assert [t.params["p"] for t in tasks] == [3, 5]
     assert len(warnings) == 2
 
 
 def test_expand_tasks_lemma_k_defaults():
-    cfg = RunConfig(targets=["lemma-2.1"], grid={"n": [4]})
-    tasks, _ = expand_tasks(cfg)
+    tasks, _ = expand_tasks(["lemma-2.1"], {"n": [4]})
     assert [t.params["k"] for t in tasks] == [1, 2, 3]
-    cfg = RunConfig(targets=["lemma-2.1"], grid={"n": [4], "k": [2, 9]})
-    tasks, warnings = expand_tasks(cfg)
+    tasks, warnings = expand_tasks(["lemma-2.1"], {"n": [4], "k": [2, 9]})
     assert [t.params["k"] for t in tasks] == [2]
     assert len(warnings) == 1
 
 
 def test_expand_tasks_straub_filter():
-    cfg = RunConfig(targets=["straub-q"], grid={"n": [5, 6], "a": [2], "b": [1]})
-    tasks, warnings = expand_tasks(cfg)
+    tasks, warnings = expand_tasks(["straub-q"], {"n": [5, 6], "a": [2], "b": [1]})
     assert [t.params["n"] for t in tasks] == [5]
     assert "gcd" in warnings[0]
 
 
 def test_expand_tasks_deduplicates_and_sorts():
-    cfg = RunConfig(
-        targets=["babbage", "theorem-a", "babbage"],
-        grid={"n": [2, 1], "a": [2], "b": [1], "p": [5, 3, 5]},
+    tasks, _ = expand_tasks(
+        ["babbage", "theorem-a", "babbage"], {"n": [2, 1], "a": [2], "b": [1], "p": [5, 3, 5]}
     )
-    tasks, _ = expand_tasks(cfg)
     keys = [t.sort_key() for t in tasks]
     assert keys == sorted(keys)
     assert len(tasks) == 4  # 2 babbage + 2 theorem-a
@@ -99,10 +92,9 @@ def test_expand_tasks_skips_exactly_what_run_task_rejects():
     # the grid includes invalid points for every target; a point must be
     # skipped iff running it raises, and the warning must quote the exception
     values = {"a": range(-1, 5), "b": range(-1, 5), "n": range(-1, 8), "p": range(1, 14), "k": range(0, 8)}
-    cfg = RunConfig(targets=[], grid={name: list(v) for name, v in values.items()})
+    grid = {name: list(v) for name, v in values.items()}
     for target in TARGETS:
-        cfg.targets = [target]
-        tasks, warnings = expand_tasks(cfg)
+        tasks, warnings = expand_tasks([target], grid)
         names = TARGETS[target].params
         kept, expected_warnings = [], []
         for point in itertools.product(*(values[name] for name in names)):
@@ -121,9 +113,9 @@ def test_expand_tasks_skips_exactly_what_run_task_rejects():
 
 def test_expand_tasks_errors():
     with pytest.raises(UsageError):
-        expand_tasks(RunConfig(targets=["theorem-a"], grid={"n": [1]}))  # no --a
+        expand_tasks(["theorem-a"], {"n": [1]})  # no --a
     with pytest.raises(UsageError):
-        expand_tasks(RunConfig(targets=["no-such-target"], grid={"n": [1]}))
+        expand_tasks(["no-such-target"], {"n": [1]})
 
 
 # ---- serialization ----
@@ -169,7 +161,7 @@ def test_csv_lines_are_what_the_csv_module_writes():
     # report_to_csv joins its fields with bare commas; the csv module quotes
     # any field that needs it, so equal lines mean no field needed quoting
     grid = {"n": [2, 3, 5], "a": [2], "b": [1], "p": [3, 5], "k": [1]}
-    tasks, _ = expand_tasks(RunConfig(targets=list(TARGETS), grid=grid))
+    tasks, _ = expand_tasks(list(TARGETS), grid)
     first = {}
     for task in tasks:
         first.setdefault(task.target, task)
@@ -218,12 +210,15 @@ def test_text_rendering_and_elision():
 # ---- verify end-to-end ----
 
 
+def _verify_args(*argv):
+    """verify's arguments parsed as main parses them."""
+    return build_parser().parse_args(["verify", *argv])
+
+
 def test_run_verify_json_stream():
-    cfg = RunConfig(
-        targets=["theorem-a"], grid={"n": [1, 2, 3, 4, 5, 6], "a": [2], "b": [1]}, format="json",
-    )
+    args = _verify_args("--target", "theorem-a", "--n", "1..6", "--a", "2", "--b", "1", "--format", "json")
     out = io.StringIO()
-    code = run_verify(cfg, stream=out, err=io.StringIO())
+    code = run_verify(args, stream=out, err=io.StringIO())
     assert code == 0
     lines = out.getvalue().strip().splitlines()
     assert len(lines) == 6
@@ -233,35 +228,33 @@ def test_run_verify_json_stream():
 
 
 def test_run_verify_warns_and_skips():
-    cfg = RunConfig(targets=["theorem-a"], grid={"n": [0, 1], "a": [2], "b": [1]})
+    args = _verify_args("--target", "theorem-a", "--n", "0,1", "--a", "2", "--b", "1")
     out, err = io.StringIO(), io.StringIO()
-    assert run_verify(cfg, stream=out, err=err) == 0
+    assert run_verify(args, stream=out, err=err) == 0
     assert len(out.getvalue().strip().splitlines()) == 1
     assert "warning: skipping theorem-a" in err.getvalue()
 
 
 def test_run_verify_exit_one_on_failure():
-    cfg = RunConfig(targets=["cor-plain"], grid={"a": [2], "b": [1], "p": [3, 5]})
+    args = _verify_args("--target", "cor-plain", "--a", "2", "--b", "1", "--p", "3,5")
     out = io.StringIO()
-    assert run_verify(cfg, stream=out, err=io.StringIO()) == 1
+    assert run_verify(args, stream=out, err=io.StringIO()) == 1
     lines = out.getvalue().strip().splitlines()
     assert len(lines) == 2  # both reports still emitted without --fail-fast
 
 
 def test_run_verify_fail_fast_stops():
-    cfg = RunConfig(
-        targets=["cor-plain"], grid={"a": [2, 4], "b": [1, 3], "p": [3]}, fail_fast=True
-    )
+    args = _verify_args("--target", "cor-plain", "--a", "2,4", "--b", "1,3", "--p", "3", "--fail-fast")
     out = io.StringIO()
-    assert run_verify(cfg, stream=out, err=io.StringIO()) == 1
+    assert run_verify(args, stream=out, err=io.StringIO()) == 1
     lines = out.getvalue().strip().splitlines()
     assert len(lines) == 1  # stopped at the first failing report
 
 
 def test_run_verify_csv_format():
-    cfg = RunConfig(targets=["babbage"], grid={"p": [3, 5]}, format="csv")
+    args = _verify_args("--target", "babbage", "--p", "3,5", "--format", "csv")
     out = io.StringIO()
-    assert run_verify(cfg, stream=out, err=io.StringIO()) == 0
+    assert run_verify(args, stream=out, err=io.StringIO()) == 0
     rows = list(csv.reader(io.StringIO(out.getvalue())))
     assert rows[0] == CSV_COLUMNS
     assert rows[1][0] == "babbage" and rows[1][1] == "p=3" and rows[1][2] == "true"
@@ -270,14 +263,10 @@ def test_run_verify_csv_format():
 
 def test_run_verify_deterministic_across_jobs():
     def run(jobs):
-        cfg = RunConfig(
-            targets=["theorem-b", "lemma-2.1", "babbage"],
-            grid={"n": [1, 2, 3, 4], "a": [2, 3], "b": [1, 2], "p": [3, 5, 7]},
-            format="json",
-            jobs=jobs,
-        )
+        args = _verify_args("--target", "theorem-b,lemma-2.1,babbage", "--n", "1..4", "--a", "2,3",
+                            "--b", "1,2", "--p", "3,5,7", "--format", "json", "--jobs", str(jobs))
         out = io.StringIO()
-        assert run_verify(cfg, stream=out, err=io.StringIO()) == 0
+        assert run_verify(args, stream=out, err=io.StringIO()) == 0
         return [report_from_json(l) for l in out.getvalue().strip().splitlines()]
 
     sequential = run(1)
@@ -310,8 +299,8 @@ def test_run_verify_clamps_jobs(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
 
     def run(jobs, primes):
-        cfg = RunConfig(targets=["babbage"], grid={"p": primes}, jobs=jobs)
-        assert run_verify(cfg, stream=io.StringIO(), err=io.StringIO()) == 0
+        args = _verify_args("--target", "babbage", "--p", ",".join(map(str, primes)), "--jobs", str(jobs))
+        assert run_verify(args, stream=io.StringIO(), err=io.StringIO()) == 0
 
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     run(8, [3, 5])  # two tasks
@@ -367,6 +356,22 @@ def test_main_compute_usage_errors(capsys):
     assert capsys.readouterr().err == "qtrinom: error: requires a > b >= 1\n"
     assert main(["compute", "--object", "truncated", "--kind", "T0", "--a", "2", "--b", "1", "--n", "0"]) == 2
     assert capsys.readouterr().err == "qtrinom: error: requires n >= 1\n"
+
+
+# a valid value for each flag an object can require
+_COMPUTE_VALUES = {"kind": "T0", "n": "2", "m": "1", "a": "2", "b": "1"}
+
+
+@pytest.mark.parametrize("obj, missing", [(obj, flag) for obj, (flags, _) in OBJECTS.items() for flag in flags])
+def test_main_compute_names_each_missing_flag(capsys, obj, missing):
+    argv = ["compute", "--object", obj]
+    for flag in OBJECTS[obj][0]:
+        if flag != missing:
+            argv += [f"--{flag}", _COMPUTE_VALUES[flag]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"qtrinom: error: --object {obj} requires --{missing}\n"
+    # the listed flags are all the object needs
+    assert main([*argv, f"--{missing}", _COMPUTE_VALUES[missing]]) == 0
 
 
 def test_main_compute_rejects_base_zero(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _taylor_q2,
     _taylor_step,
     classical_trinomial_alt,
     classical_trinomial_expand,
@@ -194,6 +195,24 @@ def test_row_stream_entries_fit_their_proven_width(n):
                 hits += [(s.bytes, s.row[j]) for s in (full, band) if s.big == big and j < len(s.row)]
                 for w, vectors in filter(None, hits):
                     assert [unpack_digits(p, w, n) for p in vectors] == expected[:k], (n, k, big, j)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_q2_images_fit_their_proven_width(n):
+    # every q -> q^2 image of an entry [N j], N a multiple of n (the rows the
+    # base-2 families read), fits the byte width it carries and equals the
+    # list-form image of the entry
+    last = 60
+    streams = [trinomials._RowStream(n, k, None) for k in (1, 2, 3)]
+    for big, row in enumerate(_list_rows(n, 3, last)):
+        if big % n:
+            continue
+        for stream in streams:
+            k = stream.k
+            for j, expected in enumerate(row):
+                to, image = stream.image_q2(big, j)
+                assert all(0 <= p < 1 << 8 * to * n for p in image), (n, k, big, j)
+                assert [unpack_digits(p, to, n) for p in image] == _taylor_q2(expected[:k]), (n, k, big, j)
 
 
 def test_widened_window_recovers_untruncated():
