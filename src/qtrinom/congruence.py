@@ -115,8 +115,8 @@ def congruent(lhs: LaurentPoly, rhs: LaurentPoly, mod: Modulus) -> CongruenceOut
 
 def rhs_theorem(kind: TrinomialKind, a: int, b: int, n: int) -> LaurentPoly:
     """The congruence right-hand side of one family, built from its FAMILIES
-    row as pre * [an bn]_(q^s) * brace (see trinomials.Family).  The
-    monomial pre scales the short brace, so the binomial takes one product."""
+    row as pre * [an bn]_(q^s) * brace, pre the anchor term's sign and weight
+    (trinomials.Family).  pre scales the short brace, so [an bn] takes one product."""
     require_theorem_params(a, b, n)
     family = FAMILIES[kind]
     an, bn = a * n, b * n
@@ -128,8 +128,8 @@ def rhs_theorem(kind: TrinomialKind, a: int, b: int, n: int) -> LaurentPoly:
         logging.getLogger(__name__).info(
             "tau0 prefactor exponents differ at a=%d b=%d n=%d; using (an-bn)", a, b, n
         )
-    k = family.anchor(an, bn)
-    pre = monomial(family.weight(an, bn, k), -1 if k % 2 else 1)
+    sign, weight, _, _ = family.term(an, bn, family.anchor(an, bn))
+    pre = monomial(weight, sign)
     brace = ONE - sum((ONE - c(n) for c in family.corrections), ZERO) * (family.base * (a - b))
     return q_binomial_base(an, bn, family.base) * (pre * brace)
 
@@ -176,18 +176,6 @@ def _check_straub(a: int, b: int, n: int) -> None:
 
 # ---- target bodies: (lhs, rhs), plain integers for the p^k targets ----
 # Bodies look every helper up as a module global at call time.
-
-
-def _theorem_sides(kind: TrinomialKind):
-    # the lhs is built in Z[q]/((q^n - 1)^power), and (q^n - 1)^power is a
-    # multiple of Phi_n^power; congruent's remainder modulo Phi_n^power is
-    # unique, so the residual is unchanged, and the lhs is ordinary either
-    # way, so the rhs alone fixes cleared_shift
-    def sides(a: int, b: int, n: int):
-        lhs = truncated_q_trinomial(kind, a, b, n, power=THEOREM_POWER)
-        return lhs, rhs_theorem(kind, a, b, n)
-
-    return sides
 
 
 def _lemma_2_1(n: int, k: int):
@@ -240,8 +228,13 @@ TARGET_BY_KIND = {
 }
 
 TARGETS: dict[str, TargetSpec] = {spec.name: spec for spec in (
-    *(TargetSpec(name, ("a", "b", "n"), require_theorem_params, _theorem_sides(kind), PHI, "n",
-                 THEOREM_POWER)
+    # the theorem lhs is built in Z[q]/((q^n - 1)^power), and (q^n - 1)^power
+    # is a multiple of Phi_n^power; congruent's remainder modulo Phi_n^power
+    # is unique, so the residual is unchanged, and the lhs is ordinary either
+    # way, so the rhs alone fixes cleared_shift
+    *(TargetSpec(name, ("a", "b", "n"), require_theorem_params,
+                 lambda a, b, n, kind=kind: (truncated_q_trinomial(kind, a, b, n, power=THEOREM_POWER),
+                                             rhs_theorem(kind, a, b, n)), PHI, "n", THEOREM_POWER)
       for kind, name in TARGET_BY_KIND.items()),
     TargetSpec("cor-plain", ("a", "b", "p"), require_corollary_params,
                lambda a, b, p: (truncated_classical("plain", a, b, p), binomial(a, b)), INT, "p", 2),
@@ -281,26 +274,14 @@ def _run(spec: TargetSpec, params: dict[str, int]) -> CongruenceReport:
     started = time.perf_counter_ns()
     spec.check(**params)
     lhs, rhs = spec.sides(**params)
-    if spec.modulus == EXACT:
-        modulus = None
-        residual = lhs - rhs
-        outcome = CongruenceOutcome(residual.is_zero(), residual, 0)
+    modulus = None if spec.modulus == EXACT else (params[spec.base], spec.power)
+    if spec.modulus == PHI:
+        outcome = congruent(lhs, rhs, cyclotomic_power(*modulus))
     else:
-        modulus = (params[spec.base], spec.power)
-        if spec.modulus == PHI:
-            outcome = congruent(lhs, rhs, cyclotomic_power(*modulus))
-        else:
-            residual = (lhs - rhs) % modulus[0] ** spec.power
-            outcome = CongruenceOutcome(residual == 0, LaurentPoly(0, (residual,)), 0)
-    return CongruenceReport(
-        target=spec.name,
-        params=params,
-        holds=outcome.holds,
-        residual=outcome.residual,
-        cleared_shift=outcome.cleared_shift,
-        modulus=modulus,
-        elapsed_ms=(time.perf_counter_ns() - started) // 1_000_000,
-    )
+        residual = lhs - rhs if modulus is None else LaurentPoly(0, ((lhs - rhs) % modulus[0] ** spec.power,))
+        outcome = CongruenceOutcome(residual.is_zero(), residual, 0)
+    elapsed_ms = (time.perf_counter_ns() - started) // 1_000_000
+    return CongruenceReport(spec.name, params, *outcome, modulus, elapsed_ms)
 
 
 def verify(target: str, **params: int) -> CongruenceReport:

@@ -6,10 +6,10 @@ are sums over k of +-q^w(n, m, k) [n k]_(q^s) times a second binomial, and
 each is described once, by its Family row in FAMILIES: the base s, the
 weight w, whether it is reflected, and the corrections in its congruence.
 
-Truncated forms keep floor(n/2) + 1 summands, starting at the anchor k = 0
-for round and ending at the anchor k = an-bn for the reflected families.
-The congruence prefactor is the signed summand weight at the anchor, so one
-row fixes both sides.
+Family.window names the floor(n/2) + 1 indices a truncated sum keeps, and
+Family.term the sign, weight and second binomial of each term; every sum,
+the ring form included, reads them there.  The congruence prefactor is the
+sign and weight of the anchor term, so one row fixes both sides.
 
 A truncated sum can instead be built in Z[q]/((q^n - 1)^k), as its
 Euclidean remainder modulo (q^n - 1)^k.  Its binomials then come from
@@ -152,10 +152,8 @@ class TrinomialKind(str, Enum):
 class Family(NamedTuple):
     """One q-trinomial family, read by both sides of its congruence.
 
-    Term k is q^weight(n, m, k) [n k]_(q^base) [n-k m+k] for round; the
-    reflected families carry (-1)^k and use [2n-2k n-m-k].  The congruence
-    right-hand side is pre * [an bn]_(q^base) * brace, with pre the signed
-    term weight at the anchor, (-1)^anchor q^weight(an, bn, anchor), and
+    The congruence right-hand side is pre * [an bn]_(q^base) * brace, with
+    pre = sign q^weight of the anchor term (see term), and
     brace = 1 - base*(a-b) * sum_c (1 - c(n)) over the corrections c.
     base is 1 or 2: the ring form of a truncated sum has the q -> q^2 image.
     """
@@ -167,6 +165,20 @@ class Family(NamedTuple):
 
     def anchor(self, an: int, bn: int) -> int:
         return an - bn if self.reflected else 0
+
+    def window(self, an: int, bn: int, width: int) -> range:
+        """The indices a truncated sum keeps: the anchor and the width
+        indices after it for round, before it for the reflected families."""
+        start = self.anchor(an, bn) - (width if self.reflected else 0)
+        return range(start, start + width + 1)
+
+    def term(self, n: int, m: int, k: int) -> tuple[int, int, int, int]:
+        """(sign, weight, big, small), with term k = sign q^weight [n k]_(q^base) [big small].
+        Term k is q^weight(n, m, k) [n k]_(q^base) [n-k m+k] for round; the
+        reflected families carry (-1)^k and use [2n-2k n-m-k]."""
+        if self.reflected:
+            return -1 if k % 2 else 1, self.weight(n, m, k), 2 * n - 2 * k, n - m - k
+        return 1, self.weight(n, m, k), n - k, m + k
 
 
 def _inverse(correction: Callable[[int], LaurentPoly]) -> Callable[[int], LaurentPoly]:
@@ -279,16 +291,16 @@ class _RowStream:
                 self.kept.setdefault((big, j), (w, value))
 
 
-# (n, k, width) -> the row stream of Z[q]/((q^n - 1)^k) of that width
-_ROWS: dict[tuple[int, int, int | None], _RowStream] = {}
+# (n, k) -> the full and band row streams of Z[q]/((q^n - 1)^k)
+_ROWS: dict[tuple[int, int], tuple[_RowStream, _RowStream]] = {}
 
 
-def _rows(n: int, k: int, width: int | None) -> _RowStream:
-    stream = _ROWS.get((n, k, width))
-    if stream is None:
-        full = None if width is None else _rows(n, k, None)
-        stream = _ROWS[n, k, width] = _RowStream(n, k, width, full)
-    return stream
+def _rows(n: int, k: int) -> tuple[_RowStream, _RowStream]:
+    streams = _ROWS.get((n, k))
+    if streams is None:
+        full = _RowStream(n, k, None)
+        streams = _ROWS[n, k] = full, _RowStream(n, k, n // 2, full)
+    return streams
 
 
 def classical_trinomial(n: int, m: int) -> int:
@@ -296,29 +308,25 @@ def classical_trinomial(n: int, m: int) -> int:
     return sum(binomial(n, k) * binomial(n - k, m + k) for k in range(n + 1))
 
 
-def _summand(family: Family, n: int, m: int, k: int) -> LaurentPoly:
-    second = q_binomial(2 * n - 2 * k, n - m - k) if family.reflected else q_binomial(n - k, m + k)
-    if second.is_zero():
-        return ZERO
-    term = shift(q_binomial_base(n, k, family.base), family.weight(n, m, k)) * second
-    return -term if family.reflected and k % 2 else term
+def _sum(family: Family, n: int, m: int, ks: range) -> LaurentPoly:
+    """The sum of the family's terms k in ks (Family.term), in polynomial form."""
+    total = ZERO
+    for k in ks:
+        sign, weight, big, small = family.term(n, m, k)
+        second = q_binomial(big, small)
+        if not second.is_zero():
+            term = shift(q_binomial_base(n, k, family.base), weight) * second
+            total = total + term if sign > 0 else total - term
+    return total
 
 
 def q_trinomial(kind: TrinomialKind, n: int, m: int) -> LaurentPoly:
     """The full (untruncated) q-trinomial coefficient of the given family."""
-    total = ZERO
-    for k in range(n + 1):
-        total = total + _summand(FAMILIES[kind], n, m, k)
-    return total
+    return _sum(FAMILIES[kind], n, m, range(n + 1))
 
 
-def truncated_q_trinomial(
-    kind: TrinomialKind,
-    a: int,
-    b: int,
-    n: int,
-    power: int | None = None,
-) -> LaurentPoly:
+def truncated_q_trinomial(kind: TrinomialKind, a: int, b: int, n: int,
+                          power: int | None = None) -> LaurentPoly:
     """The truncated q-trinomial sum at (an, bn).
 
     With power=k it returns the sum's Euclidean remainder modulo
@@ -326,26 +334,21 @@ def truncated_q_trinomial(
     streams (see the module docstring).
     """
     require_theorem_params(a, b, n)
-    half = n // 2
     family = FAMILIES[kind]
     an, bn = a * n, b * n
-    start = family.anchor(an, bn) - (half if family.reflected else 0)
+    window = family.window(an, bn, n // 2)
     if power is None:
-        total = ZERO
-        for k in range(start, start + half + 1):
-            total = total + _summand(family, an, bn, k)
-        return total
+        return _sum(family, an, bn, window)
     if power < 1:
         raise ValueError("modulus power must be positive")
-    full, band = _rows(n, power, None), _rows(n, power, half)
+    full, band = _rows(n, power)
     terms = []
     xbits = ybits = 0
-    for k in range(start, start + half + 1):
+    for k in window:
+        sign, weight, big, small = family.term(an, bn, k)
         first = full.image_q2(an, k) if family.base == 2 else full.entry(an, k)
-        weight = family.weight(an, bn, k)
-        big, small = (2 * an - 2 * k, an - bn - k) if family.reflected else (an - k, bn + k)
         second = (band if family.reflected else full).entry(big, small)
-        terms.append((-1 if family.reflected and k % 2 else 1, weight, first, second))
+        terms.append((sign, weight, first, second))
         # q^weight [an k]_(q^base) has degree base k(an-k) + weight
         xbits = max(xbits, _digit_bits(family.base * k * (an - k) + weight, comb(an, k), n, power))
         ybits = max(ybits, _digit_bits(small * (big - small), comb(big, small), n, power))

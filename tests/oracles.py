@@ -45,7 +45,7 @@ from qtrinom.polyring import (
     substitute_power,
 )
 from qtrinom.qcombinatorics import binomial, q_binomial, q_binomial_base
-from qtrinom.trinomials import FAMILIES, TrinomialKind, _half, _summand, theta, truncated_q_trinomial, vartheta
+from qtrinom.trinomials import FAMILIES, TrinomialKind, _half, _sum, theta, truncated_q_trinomial, vartheta
 
 
 def classical_trinomial_alt(n: int, m: int) -> int:
@@ -73,11 +73,7 @@ def widened_truncated_sum(kind: TrinomialKind, a: int, b: int, n: int, width: in
     reflected families)."""
     family = FAMILIES[kind]
     an, bn = a * n, b * n
-    start = family.anchor(an, bn) - (width if family.reflected else 0)
-    total = ZERO
-    for k in range(start, start + width + 1):
-        total = total + _summand(family, an, bn, k)
-    return total
+    return _sum(family, an, bn, family.window(an, bn, width))
 
 
 def q_binomial_pascal(n: int, m: int) -> LaurentPoly:

@@ -1,6 +1,7 @@
 """Trinomial families: classical three-way agreement, q=1 collapse, and
 consistency of the truncated sums with the untruncated definitions."""
 
+import hashlib
 import math
 
 import pytest
@@ -8,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _PAPER_FAMILIES,
     _taylor_q2,
     _taylor_step,
+    _window,
     classical_trinomial_alt,
     classical_trinomial_expand,
     unpack_digits,
     widened_truncated_sum,
 )
-from qtrinom.polyring import ONE, ZERO, eval_at_one, make_poly, monomial, rem_monic
+from qtrinom.polyring import ONE, ZERO, eval_at_one, make_poly, monomial, rem_monic, to_text
 from qtrinom.qcombinatorics import q_binomial, q_binomial_base
 from qtrinom import trinomials
 from qtrinom.trinomials import (
@@ -82,6 +85,50 @@ def test_truncated_examples():
     assert truncated_q_trinomial(TrinomialKind.tau0, 2, 1, 1) == make_poly([(2, -1), (3, -1)])
     # single k=1 term: -[2 1]_{q^2} [2 0]
     assert truncated_q_trinomial(TrinomialKind.T0, 2, 1, 1) == make_poly([(0, -1), (2, -1)])
+
+
+# SHA-256 of the polynomial-form sums below, one line each, joined by "\n"
+POLYNOMIAL_FORM_SHA256 = "702f12ffb80543c471247b8a77bc34e0542fcc27097a347578509b8f5fb44dfa"
+
+
+def test_polynomial_form_sums_are_pinned():
+    # the verify streams are pinned in test_acceptance; this pins the
+    # untruncated and truncated sums themselves, byte for byte
+    lines = [
+        f"q_trinomial {kind.value} {n} {m} {to_text(q_trinomial(kind, n, m))}"
+        for kind in ALL_KINDS
+        for n in range(9)
+        for m in range(-n, n + 1)
+    ]
+    lines += [
+        f"truncated {kind.value} {a} {b} {n} {to_text(truncated_q_trinomial(kind, a, b, n))}"
+        for kind in ALL_KINDS
+        for a in range(2, 5)
+        for b in range(1, a)
+        for n in range(1, 7)
+    ]
+    assert len(lines) == 702
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == POLYNOMIAL_FORM_SHA256
+
+
+def test_terms_match_the_paper_wording():
+    # Family.window and Family.term against the oracle's own statement of
+    # each family.  The anchor term's sign and weight must be the paper's
+    # prefactor (-1)^d q^pre, so one FAMILIES row fixes both sides
+    for kind, (_, weight, pre, _) in _PAPER_FAMILIES.items():
+        family = trinomials.FAMILIES[kind]
+        reflected = kind is not TrinomialKind.round
+        for a in range(2, 9):
+            for b in range(1, a):
+                for n in range(1, 13):
+                    an, bn, d = a * n, b * n, (a - b) * n
+                    terms = {k: family.term(an, bn, k) for k in family.window(an, bn, n // 2)}
+                    assert {k: t[2:] for k, t in terms.items()} == _window(kind, an, bn, n), (kind, a, b, n)
+                    for k, (sign, w, _, _) in terms.items():
+                        paper = ((-1) ** k if reflected else 1, weight(an, bn, k))
+                        assert (sign, w) == paper, (kind, a, b, n, k)
+                    sign, w, _, _ = family.term(an, bn, family.anchor(an, bn))
+                    assert (sign, w) == ((-1) ** d if reflected else 1, pre(an, bn, d)), (kind, a, b, n)
 
 
 def test_truncated_parameter_validation():
