@@ -7,9 +7,9 @@ each is described once, by its Family row in FAMILIES: the base s, the
 weight w, whether it is reflected, and the corrections in its congruence.
 
 Family.window names the floor(n/2) + 1 indices a truncated sum keeps, and
-Family.term the sign, weight and second binomial of each term; every sum,
-the ring form included, reads them there.  The congruence prefactor is the
-sign and weight of the anchor term, so one row fixes both sides.
+Family.term the sign, weight and second binomial of each term; every sum
+reads them there, in ring form and at q = 1 (_sum_at_one).  The congruence
+prefactor is the anchor term's sign and weight, so one row fixes both sides.
 
 A truncated sum can instead be built in Z[q]/((q^n - 1)^k), as its
 Euclidean remainder modulo (q^n - 1)^k.  Its binomials then come from
@@ -150,7 +150,7 @@ class TrinomialKind(str, Enum):
 
 
 class Family(NamedTuple):
-    """One q-trinomial family, read by both sides of its congruence.
+    """One q-trinomial family, read by both sides of its congruence and at q = 1.
 
     The congruence right-hand side is pre * [an bn]_(q^base) * brace, with
     pre = sign q^weight of the anchor term (see term), and
@@ -303,11 +303,6 @@ def _rows(n: int, k: int) -> tuple[_RowStream, _RowStream]:
     return streams
 
 
-def classical_trinomial(n: int, m: int) -> int:
-    """Coefficient of x^(m+n) in (1+x+x^2)^n; zero for |m| > n."""
-    return sum(binomial(n, k) * binomial(n - k, m + k) for k in range(n + 1))
-
-
 def _sum(family: Family, n: int, m: int, ks: range) -> LaurentPoly:
     """The sum of the family's terms k in ks (Family.term), in polynomial form."""
     total = ZERO
@@ -318,6 +313,20 @@ def _sum(family: Family, n: int, m: int, ks: range) -> LaurentPoly:
             term = shift(q_binomial_base(n, k, family.base), weight) * second
             total = total + term if sign > 0 else total - term
     return total
+
+
+def _sum_at_one(family: Family, n: int, m: int, ks: range) -> int:
+    """The sum of the family's terms k in ks at q = 1, where the base and the weight drop out."""
+    total = 0
+    for k in ks:
+        sign, _, big, small = family.term(n, m, k)
+        total += sign * binomial(n, k) * binomial(big, small)
+    return total
+
+
+def classical_trinomial(n: int, m: int) -> int:
+    """Coefficient of x^(m+n) in (1+x+x^2)^n, round's full sum at q = 1; zero for |m| > n."""
+    return _sum_at_one(FAMILIES[TrinomialKind.round], n, m, range(n + 1))
 
 
 def q_trinomial(kind: TrinomialKind, n: int, m: int) -> LaurentPoly:
@@ -356,19 +365,11 @@ def truncated_q_trinomial(kind: TrinomialKind, a: int, b: int, n: int,
 
 
 def truncated_classical(variant: str, a: int, b: int, p: int) -> int:
-    """Truncated classical trinomial sums at (ap, bp) for an odd prime p.
-
-    plain: sum_{k=0}^{(p-1)/2} C(ap,k) C(ap-k, bp+k)
-    star:  sum_{k=ap-bp-(p-1)/2}^{ap-bp} (-1)^k C(ap,k) C(2ap-2k, ap-bp-k)
-    """
+    """The truncated classical sum at (ap, bp), p an odd prime: the truncated q-sum at
+    n = p taken at q = 1, round's for plain and T0's for star (all reflected ones agree)."""
     require_corollary_params(a, b, p)
-    half = (p - 1) // 2
-    ap, bp = a * p, b * p
-    if variant == "plain":
-        return sum(binomial(ap, k) * binomial(ap - k, bp + k) for k in range(half + 1))
-    if variant == "star":
-        return sum(
-            (-1) ** k * binomial(ap, k) * binomial(2 * ap - 2 * k, ap - bp - k)
-            for k in range(ap - bp - half, ap - bp + 1)
-        )
-    raise InvalidParameters(f"unknown variant {variant!r}")
+    kind = {"plain": TrinomialKind.round, "star": TrinomialKind.T0}.get(variant)
+    if kind is None:
+        raise InvalidParameters(f"unknown variant {variant!r}")
+    family, ap, bp = FAMILIES[kind], a * p, b * p
+    return _sum_at_one(family, ap, bp, family.window(ap, bp, p // 2))

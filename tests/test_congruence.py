@@ -33,9 +33,11 @@ from qtrinom.cyclotomic import cyclotomic_power
 from qtrinom.polyring import ONE, ZERO, LaurentPoly, _step, make_poly, monomial, rem_monic, shift, substitute_power
 from qtrinom.qcombinatorics import q_binomial
 from qtrinom.trinomials import (
+    FAMILIES,
     InvalidParameters,
     NotPrime,
     TrinomialKind,
+    _sum,
     truncated_classical,
     truncated_q_trinomial,
 )
@@ -303,6 +305,30 @@ def test_negative_control_every_kind():
                     if not congruent(lhs, rhs, cyclotomic_power(n, 2)).holds:
                         failures += 1
         assert failures > 0, kind
+
+
+def test_theorems_hold_at_b_zero():
+    # an observation outside the paper's hypothesis a > b >= 1: at b = 0 all
+    # six congruences hold on this grid, and not only as equal polynomials.
+    # truncated_q_trinomial rejects b = 0, so the lhs is the polynomial-form
+    # sum over the family's window.  With the brace dropped, the checker
+    # rejects some point of each kind
+    points, differ, rejected = 0, set(), set()
+    for kind in ALL_KINDS:
+        family = FAMILIES[kind]
+        for a in range(1, 5):
+            for n in range(2, 9):
+                an, mod = a * n, cyclotomic_power(n, 2)
+                lhs = _sum(family, an, 0, family.window(an, 0, n // 2))
+                rhs = rhs_theorem_by_kind(kind, a, 0, n)
+                assert congruent(lhs, rhs, mod).holds, (kind, a, n)
+                if lhs != rhs:
+                    differ.add(kind)
+                if not congruent(lhs, rhs_theorem_by_kind(kind, a, 0, n, correction=False), mod).holds:
+                    rejected.add(kind)
+                points += 1
+    assert points == 168
+    assert differ == rejected == set(ALL_KINDS)
 
 
 @given(

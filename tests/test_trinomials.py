@@ -329,7 +329,10 @@ def test_truncated_classical_examples():
 
 
 def test_truncated_classical_matches_brute_force():
-    for p in (3, 5, 7):
+    # the math.comb wording is the independent oracle; each corollary lhs is
+    # also its theorem's truncated sum at q = 1, the polynomial form of
+    # round's for plain and of each reflected family's for star
+    for p in (3, 5, 7, 11, 13):
         for a in (2, 3, 4):
             for b in range(1, a):
                 ap, bp = a * p, b * p
@@ -343,6 +346,10 @@ def test_truncated_classical_matches_brute_force():
                 )
                 assert truncated_classical("plain", a, b, p) == plain
                 assert truncated_classical("star", a, b, p) == star
+                for kind in ALL_KINDS:
+                    variant = "plain" if kind is TrinomialKind.round else "star"
+                    at_one = eval_at_one(truncated_q_trinomial(kind, a, b, p))
+                    assert at_one == truncated_classical(variant, a, b, p), (kind, a, b, p)
 
 
 def test_truncated_classical_errors():
