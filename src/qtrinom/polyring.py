@@ -413,7 +413,6 @@ def rem_monic(x: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
     for i in range(len(buf) - 1, dm - 1, -1):
         c = buf[i]
         if c:
-            buf[i] = 0
             base = i - dm
             for j, mc in lower:
                 buf[base + j] -= c * mc

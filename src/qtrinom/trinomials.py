@@ -231,7 +231,7 @@ class _RowStream:
     C(N, j) <= C(N, m), of degree j(N-j) <= m(N-m), and so do the terms
     [N-1 j-1] and q^j [N-1 j] of the step and y^u [N-1 j] inside it, so
     every digit of row N and of its steps is at most
-    C(floor(m(N-m)/n), i) C(N, m) (polyring._digit_bits).  The bound grows
+    C(floor(m(N-m)/n), i) C(N, m), which bits(N, m) holds.  The bound grows
     with N, so widths only grow, each widening a byte-strided re-pack; a
     band resumed from a full row narrows it at its next step."""
 
@@ -241,9 +241,23 @@ class _RowStream:
         self.kept: dict[tuple[int, int], tuple[int, list[int]]] = {} if full is None else full.kept
         self.images: dict[tuple[int, int], tuple[int, list[int]]] = {}
 
-    def entry(self, big: int, small: int) -> tuple[int, list[int]]:
-        """[big small] as (byte width, packed vectors)."""
+    def bits(self, big: int, small: int, base: int = 1, weight: int = 0) -> int:
+        """The bits that hold every Taylor digit of q^weight [big small]_(q^base):
+        its coefficients are nonnegative, sum to C(big, small) and reach degree
+        base small(big-small) + weight (polyring._digit_bits)."""
+        return _digit_bits(base * small * (big - small) + weight, comb(big, small), self.n, self.k)
+
+    def entry(self, big: int, small: int, base: int = 1) -> tuple[int, list[int]]:
+        """[big small]_(q^base) as (byte width, packed vectors); base 2 is the
+        q -> q^2 image of the entry, made once on first use."""
         small = min(small, big - small)
+        if base == 2:
+            hit = self.images.get((big, small))
+            if hit is None:
+                w, vectors = self.entry(big, small)
+                to = (self.bits(big, small, 2) + 7) // 8
+                hit = self.images[big, small] = to, _packed_q2(vectors, self.n, w, to)
+            return hit
         full = self.full
         if full is not None:
             if big <= full.big:
@@ -260,27 +274,14 @@ class _RowStream:
             raise DroppedRowEntry(f"[{big} {small}] is not kept by the n={self.n} row stream")
         return hit
 
-    def image_q2(self, big: int, small: int) -> tuple[int, list[int]]:
-        """[big small]_(q^2), made once from the entry on first use."""
-        small = min(small, big - small)
-        hit = self.images.get((big, small))
-        if hit is None:
-            w, vectors = self.entry(big, small)
-            to = (_digit_bits(2 * small * (big - small), comb(big, small), self.n, self.k) + 7) // 8
-            hit = self.images[big, small] = to, _packed_q2(vectors, self.n, w, to)
-        return hit
-
-    def _bytes(self, big: int) -> int:
-        m = big // 2 if self.width is None else min(big // 2, self.width)
-        return (_digit_bits(m * (big - m), comb(big, m), self.n, self.k) + 7) // 8
-
     def _advance(self) -> None:
         prev, big, n = self.row, self.big + 1, self.n
-        w = self._bytes(big)
+        m = big // 2 if self.width is None else min(big // 2, self.width)
+        w = (self.bits(big, m) + 7) // 8  # [big m] is the widest entry
         if w != self.bytes:  # the whole row in one byte-strided copy
             flat = _repack([p for entry in prev for p in entry], n, self.bytes, w)
             prev = [flat[i : i + self.k] for i in range(0, len(flat), self.k)]
-        if big % 2 == 0 and (self.width is None or big // 2 <= self.width):
+        if big % 2 == 0 and m == big // 2:
             # the new middle entry [big big/2] reads [big-1 big/2] = [big-1 big/2-1]
             prev = prev + prev[-1:]
         row = [prev[0]]
@@ -351,16 +352,14 @@ def truncated_q_trinomial(kind: TrinomialKind, a: int, b: int, n: int,
     if power < 1:
         raise ValueError("modulus power must be positive")
     full, band = _rows(n, power)
+    stream = band if family.reflected else full
     terms = []
     xbits = ybits = 0
     for k in window:
         sign, weight, big, small = family.term(an, bn, k)
-        first = full.image_q2(an, k) if family.base == 2 else full.entry(an, k)
-        second = (band if family.reflected else full).entry(big, small)
-        terms.append((sign, weight, first, second))
-        # q^weight [an k]_(q^base) has degree base k(an-k) + weight
-        xbits = max(xbits, _digit_bits(family.base * k * (an - k) + weight, comb(an, k), n, power))
-        ybits = max(ybits, _digit_bits(small * (big - small), comb(big, small), n, power))
+        terms.append((sign, weight, full.entry(an, k, family.base), stream.entry(big, small)))
+        xbits = max(xbits, full.bits(an, k, family.base, weight))
+        ybits = max(ybits, stream.bits(big, small))
     return fold(_packed_dot(terms, xbits, ybits, n), n, power)
 
 

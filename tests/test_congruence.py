@@ -1,6 +1,5 @@
 """Congruence checker, correction monomials, and all verification targets."""
 
-import ast
 import logging
 import os
 import subprocess
@@ -605,19 +604,6 @@ def test_invariant_checks_survive_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_src_has_no_assert_statements():
-    # the invariants must stay exceptions, which python -O keeps
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "qtrinom")
-    found = []
-    for root, _, files in os.walk(src):
-        for name in sorted(f for f in files if f.endswith(".py")):
-            path = os.path.join(root, name)
-            with open(path) as fh:
-                tree = ast.parse(fh.read(), path)
-            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert not found
 
 
 def test_every_kind_has_a_target():

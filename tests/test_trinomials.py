@@ -18,7 +18,7 @@ from oracles import (
     unpack_digits,
     widened_truncated_sum,
 )
-from qtrinom.polyring import ONE, ZERO, eval_at_one, make_poly, monomial, rem_monic, to_text
+from qtrinom.polyring import ONE, ZERO, _taylor, eval_at_one, make_poly, monomial, rem_monic, shift, to_text
 from qtrinom.qcombinatorics import q_binomial, q_binomial_base
 from qtrinom import trinomials
 from qtrinom.trinomials import (
@@ -257,9 +257,30 @@ def test_q2_images_fit_their_proven_width(n):
         for stream in streams:
             k = stream.k
             for j, expected in enumerate(row):
-                to, image = stream.image_q2(big, j)
+                to, image = stream.entry(big, j, 2)
                 assert all(0 <= p < 1 << 8 * to * n for p in image), (n, k, big, j)
                 assert [unpack_digits(p, to, n) for p in image] == _taylor_q2(expected[:k]), (n, k, big, j)
+
+
+def test_ring_factors_fit_their_bits():
+    # the dot bounds of the ring loop: every Taylor digit of each factor,
+    # the weight-shifted first factor included, is below 2 ** bits
+    for kind in ALL_KINDS:
+        family = trinomials.FAMILIES[kind]
+        for a in (2, 3, 4):
+            for b in range(1, a):
+                for n in range(1, 9):
+                    an, bn = a * n, b * n
+                    for power in (1, 2, 3):
+                        full, band = trinomials._rows(n, power)
+                        stream = band if family.reflected else full
+                        for k in family.window(an, bn, n // 2):
+                            _, weight, big, small = family.term(an, bn, k)
+                            first = shift(q_binomial_base(an, k, family.base), weight)
+                            digits = max(map(max, _taylor(first, n, power)))
+                            assert digits < 1 << full.bits(an, k, family.base, weight), (kind, a, b, n, power, k)
+                            digits = max(map(max, _taylor(q_binomial(big, small), n, power)))
+                            assert digits < 1 << stream.bits(big, small), (kind, a, b, n, power, k)
 
 
 def test_widened_window_recovers_untruncated():
