@@ -74,24 +74,19 @@ GRID_FLAGS = {
 
 
 def parse_int_list(spec: str, flag: str) -> list[int]:
-    """Parse 'lo..hi' (inclusive) or a comma list of integers."""
+    """Parse a comma list of 'lo..hi' (inclusive) ranges; a single integer
+    'a' is the range 'a..a'."""
     values: list[int] = []
     for part in spec.split(","):
         part = part.strip()
-        if ".." in part:
-            lo_s, _, hi_s = part.partition("..")
-            try:
-                lo, hi = int(lo_s), int(hi_s)
-            except ValueError:
-                raise UsageError(f"bad range {part!r} for {flag}")
-            if hi < lo:
-                raise UsageError(f"empty range {part!r} for {flag}")
-            values.extend(range(lo, hi + 1))
-        else:
-            try:
-                values.append(int(part))
-            except ValueError:
-                raise UsageError(f"bad integer {part!r} for {flag}")
+        lo_s, dots, hi_s = part.partition("..")
+        try:
+            lo, hi = map(int, (lo_s, hi_s if dots else lo_s))
+        except ValueError:
+            raise UsageError(f"bad {'range' if dots else 'integer'} {part!r} for {flag}")
+        if hi < lo:
+            raise UsageError(f"empty range {part!r} for {flag}")
+        values.extend(range(lo, hi + 1))
     return values
 
 

@@ -616,12 +616,11 @@ def to_text(p: LaurentPoly) -> str:
         if c == 0:
             continue
         e = p.offset + i
+        mag = abs(c)
         if parts:
             parts.append(" + " if c > 0 else " - ")
-            mag = abs(c)
         else:
             parts.append("-" if c < 0 else "")
-            mag = abs(c)
         if e == 0:
             parts.append(str(mag))
         elif mag == 1:
@@ -631,37 +630,20 @@ def to_text(p: LaurentPoly) -> str:
     return "".join(parts)
 
 
-_TERM_RE = re.compile(r"^(?:(\d+)\*?)?(?:q(?:\^(-?\d+))?)?$")
+# one term as to_text writes it: an integer, or q with optional N* and ^E
+_TERM_RE = re.compile(r"(\d+)|(?:(\d+)\*)?q(?:\^(-?\d+))?")
 
 
 def from_text(s: str) -> LaurentPoly:
-    """Parse the canonical text format back into a polynomial."""
-    s = s.strip()
-    if s == "0":
-        return ZERO
+    """Parse to_text's format: terms joined by " + " or " - ", the first led by "-"."""
+    first_sign, body = ("-", s[1:]) if s.startswith("-") else ("+", s)
+    chunks = re.split(r" ([+-]) ", body)
     pairs: list[tuple[int, int]] = []
-    sign = 1
-    if s.startswith("-"):
-        sign = -1
-        s = s[1:]
-    for chunk in re.split(r" ([+-]) ", s):
-        if chunk == "+":
-            sign = 1
-            continue
-        if chunk == "-":
-            sign = -1
-            continue
-        m = _TERM_RE.match(chunk)
-        if not m or not chunk:
-            raise ValueError(f"unparseable polynomial term: {chunk!r}")
-        coeff_s, exp_s = m.groups()
-        has_q = "q" in chunk
-        coeff = int(coeff_s) if coeff_s is not None else 1
-        if not has_q:
-            if coeff_s is None:
-                raise ValueError(f"unparseable polynomial term: {chunk!r}")
-            exp = 0
-        else:
-            exp = int(exp_s) if exp_s is not None else 1
-        pairs.append((exp, sign * coeff))
+    for sign, term in zip([first_sign, *chunks[1::2]], chunks[0::2]):
+        m = _TERM_RE.fullmatch(term)
+        if m is None:
+            raise ValueError(f"unparseable polynomial term: {term!r}")
+        const, coeff_s, exp_s = m.groups()
+        coeff = int(const or coeff_s or 1)
+        pairs.append((0 if const else int(exp_s or 1), -coeff if sign == "-" else coeff))
     return make_poly(pairs)

@@ -39,13 +39,13 @@ from qtrinom.polyring import (
     _digit_width,
     _unpack,
     exact_div,
+    make_poly,
     monomial,
     rem_monic,
     shift,
-    substitute_power,
 )
-from qtrinom.qcombinatorics import binomial, q_binomial, q_binomial_base
-from qtrinom.trinomials import FAMILIES, TrinomialKind, _half, _sum, theta, truncated_q_trinomial, vartheta
+from qtrinom.qcombinatorics import binomial, q_binomial_base
+from qtrinom.trinomials import FAMILIES, TrinomialKind, _sum, truncated_q_trinomial
 
 
 def classical_trinomial_alt(n: int, m: int) -> int:
@@ -120,40 +120,20 @@ def lemma_sides_cleared(n: int, weight_exp, correction: LaurentPoly) -> tuple[La
 
 
 def rhs_theorem_by_kind(kind: TrinomialKind, a: int, b: int, n: int, correction: bool = True) -> LaurentPoly:
-    """The six theorem right-hand sides written out family by family, each
-    prefactor exponent and brace as the paper states it.
+    """The six theorem right-hand sides as _PAPER_FAMILIES states them:
+    (-1)^d q^pre [an bn]_(q^s) times the brace 1 - s(a-b) sum_c (1 - c(n));
+    round takes no sign.
 
     correction=False drops the brace (sets it to 1): the corrupted rhs that
     the negative controls use to prove the checker can fail."""
+    base, _, pre, corrections = _PAPER_FAMILIES[kind]
     an, bn = a * n, b * n
     d = an - bn
-    sign = -1 if d % 2 else 1
-    if kind is TrinomialKind.round:
-        pre = ONE
-        binom = q_binomial(an, bn)
-        brace = ONE - (ONE - theta(n)) * (a - b)
-    elif kind is TrinomialKind.tau0:
-        pre = monomial(_half(d * (an + bn + 1)), sign)
-        binom = q_binomial(an, bn)
-        brace = ONE - (monomial(0, 2) - theta(n) - vartheta(n)) * (a - b)
-    else:
-        binom = q_binomial_base(an, bn, 2)
-        if kind is TrinomialKind.T0:
-            pre = monomial(0, sign)
-            corr = theta(n)
-        elif kind is TrinomialKind.T1:
-            pre = monomial(d, sign)
-            corr = vartheta(n)
-        elif kind is TrinomialKind.t0:
-            pre = monomial(d * d, sign)
-            corr = substitute_power(theta(n), -1)
-        else:
-            pre = monomial(d * (d - 1), sign)
-            corr = substitute_power(vartheta(n), -1)
-        brace = ONE - (ONE - corr) * (2 * (a - b))
-    if not correction:
-        brace = ONE
-    return pre * binom * brace
+    sign = -1 if kind is not TrinomialKind.round and d % 2 else 1
+    brace = ONE
+    if correction:
+        brace = ONE - sum((ONE - make_poly(c(n)) for c in corrections), ZERO) * (base * (a - b))
+    return monomial(pre(an, bn, d), sign) * q_binomial_base(an, bn, base) * brace
 
 
 def unpack_by_shifts(n: int, w: int, count: int) -> list[int]:

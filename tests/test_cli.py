@@ -38,12 +38,18 @@ def test_parse_int_list():
     assert parse_int_list("3,5,7", "--p") == [3, 5, 7]
     assert parse_int_list("4", "--a") == [4]
     assert parse_int_list("1..3,9", "--n") == [1, 2, 3, 9]
-    with pytest.raises(UsageError):
-        parse_int_list("x..3", "--n")
-    with pytest.raises(UsageError):
-        parse_int_list("5..1", "--n")
-    with pytest.raises(UsageError):
-        parse_int_list("1;2", "--n")
+    assert parse_int_list(" 4 ", "--a") == [4]
+    assert parse_int_list("4..4", "--a") == [4]
+    assert parse_int_list("-3..-1", "--k") == [-3, -2, -1]
+    for spec, message in [
+        ("x..3", "bad range 'x..3' for --n"),
+        ("1;2", "bad integer '1;2' for --n"),
+        ("", "bad integer '' for --n"),
+        ("5..1", "empty range '5..1' for --n"),
+    ]:
+        with pytest.raises(UsageError) as excinfo:
+            parse_int_list(spec, "--n")
+        assert str(excinfo.value) == message
 
 
 def test_expand_tasks_theorem_grid():

@@ -182,8 +182,11 @@ def test_from_text_examples():
     assert from_text("q^2 - q + 1") == make_poly([(2, 1), (1, -1), (0, 1)])
     assert from_text("-q") == monomial(1, -1)
     assert from_text("5 - 3*q^-2") == make_poly([(0, 5), (-2, -3)])
-    with pytest.raises(ValueError):
-        from_text("bogus + q")
+    assert from_text("q^-2 + 2*q - 1 - q") == make_poly([(-2, 1), (1, 1), (0, -1)])
+    # only what to_text writes: a term is an integer or [N*]q[^E]
+    for text in ("bogus + q", "3*", "2q", "1 + 3*", "q^", "", " q", "q -", "--q"):
+        with pytest.raises(ValueError, match="unparseable polynomial term"):
+            from_text(text)
 
 
 # ---- property tests ----
