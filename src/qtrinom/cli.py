@@ -71,6 +71,7 @@ GRID_FLAGS = {
     "p": "primes: comma list or lo..hi",
     "k": "k values for lemma-2.1 (default: all 1..n-1)",
 }
+_GRID_OPTIONS = {f"--{name}" for name in GRID_FLAGS}
 
 
 def parse_int_list(spec: str, flag: str) -> list[int]:
@@ -341,8 +342,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_grid_values(argv: list[str]) -> list[str]:
+    """`--p -3..-1` as `--p=-3..-1`: argparse reads a separate word that
+    starts with `-` and is not a plain negative number as an option.  A word
+    that starts with `--` stays an option, so a missing value is named."""
+    joined: list[str] = []
+    for word in argv:
+        if joined and joined[-1] in _GRID_OPTIONS and word[:1] == "-" and word[:2] != "--":
+            joined[-1] += "=" + word
+        else:
+            joined.append(word)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
     try:
         return run_verify(args) if args.command == "verify" else run_compute(args)
     except TaskFailed as exc:

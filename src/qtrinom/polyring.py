@@ -11,15 +11,17 @@ coefficients are products of nonzero ends) skip it through _rebuild.
 
 Coefficients are plain Python ints; all arithmetic is exact at any
 magnitude.  A product whose shorter factor has at most _SCHOOLBOOK_ROWS
-coefficients, or whose lengths multiply to at most _SCHOOLBOOK_LIMIT, is
-taken by schoolbook, which skips zero terms; larger ones by Kronecker
-substitution (packing the coefficient vector into one big integer), which
-hands the real work to CPython's big-int multiplication.  When the longer
-factor is an image d(q^s), s >= 2, such as a binomial in base q^2, each
-residue class mod s of the other factor is multiplied by d alone and lands
-on its own exponents, so the kernels see operands s times shorter, and a
-class with a single term is a scalar multiple of d.  A two-term factor
-(1 - q^up)/(1 - q^down) needs no product: _step applies it in linear time.
+nonzero coefficients, or at most _WIDE_ROWS with a Kronecker digit wider
+than a machine word, or whose lengths multiply to at most
+_SCHOOLBOOK_LIMIT, is taken by schoolbook, which skips zero terms; others
+by Kronecker substitution (packing the coefficient vector into one big
+integer), which hands the real work to CPython's big-int multiplication.
+When the longer factor is an image d(q^s), s >= 2, such as a binomial in
+base q^2, each residue class mod s of the other factor is multiplied by d
+alone and lands on its own exponents, so the kernels see operands s times
+shorter, and a class with a single term is a scalar multiple of d.  A
+two-term factor (1 - q^up)/(1 - q^down) needs no product: _step applies it
+in linear time.
 
 The quotient ring Z[q]/((q^n - 1)^k) has its own form: per residue class mod
 n, the Taylor coefficients at y = q^n = 1 (_taylor, one slice per class and
@@ -162,7 +164,12 @@ class LaurentPoly:
                 i = r + s * p.offset
                 out[i : i + s * len(p.coeffs) : s] = p.coeffs
             return _rebuild(off, tuple(out))
-        if len(a) <= _SCHOOLBOOK_ROWS or len(a) * len(b) <= _SCHOOLBOOK_LIMIT:
+        rows = len(a) - a.count(0)
+        if (
+            rows <= _SCHOOLBOOK_ROWS
+            or len(a) * len(b) <= _SCHOOLBOOK_LIMIT
+            or rows <= _WIDE_ROWS and _digit_width(_bits(a), _bits(b), len(a)) > 8
+        ):
             return _rebuild(off, tuple(_mul_schoolbook(a, b)))
         return _rebuild(off, tuple(_mul_kronecker(a, b)))
 
@@ -237,11 +244,14 @@ def make_poly(pairs: Iterable[tuple[int, int]]) -> LaurentPoly:
 # crossover found by benchmarking: below this schoolbook wins, above it the
 # packed big-int product does
 _SCHOOLBOOK_LIMIT = 256
-# a factor this short takes schoolbook whatever the other's length: a few
-# rows beat packing the long factor once its coefficients are wide, as in a
-# binomial times a short brace; on dense 8-bit factors Kronecker wins from
-# about 4 rows, and 8 keeps the self-test's 13-term products on Kronecker
-_SCHOOLBOOK_ROWS = 8
+# a factor with this few nonzero rows takes schoolbook whatever its span or
+# width: schoolbook costs rows times the long factor, Kronecker packs the
+# whole span, and on dense narrow factors Kronecker wins from about 4 rows
+_SCHOOLBOOK_ROWS = 3
+# up to this many rows schoolbook also wins once a Kronecker digit is wider
+# than the 8-byte word _unpack reads in C, as in a long quotient of wide
+# coefficients times a short modulus, or a binomial times a sparse brace
+_WIDE_ROWS = 8
 
 
 def _stride(c: Sequence[int]) -> int:
@@ -268,9 +278,14 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     # the product coefficients back out of the digits.  w is chosen so that
     # every input and product coefficient lies strictly inside (-B/2, B/2), so
     # each shifted by B/2 is one unsigned digit: the offset-digit codec.
-    w = _digit_width(max(map(abs, a)).bit_length(), max(map(abs, b)).bit_length(), min(len(a), len(b)))
+    w = _digit_width(_bits(a), _bits(b), min(len(a), len(b)))
     n = _pack(a, w) * _pack(b, w)
     return _unpack(n, w, len(a) + len(b) - 1)
+
+
+def _bits(c: Sequence[int]) -> int:
+    """Bits of the largest coefficient magnitude."""
+    return max(map(abs, c)).bit_length()
 
 
 def _digit_width(abits: int, bbits: int, terms: int) -> int:
@@ -630,12 +645,16 @@ def to_text(p: LaurentPoly) -> str:
     return "".join(parts)
 
 
-# one term as to_text writes it: an integer, or q with optional N* and ^E
-_TERM_RE = re.compile(r"(\d+)|(?:(\d+)\*)?q(?:\^(-?\d+))?")
+# one term as to_text writes it: a nonzero integer, or q with an optional
+# N* (N >= 2) and ^E (E not 0 or 1), every number without leading zeros
+_TERM_RE = re.compile(r"([1-9]\d*)|(?:([2-9]|[1-9]\d+)\*)?q(?:\^(-[1-9]\d*|[2-9]|[1-9]\d+))?")
 
 
 def from_text(s: str) -> LaurentPoly:
-    """Parse to_text's format: terms joined by " + " or " - ", the first led by "-"."""
+    """Parse to_text's format: "0", or terms in strictly falling exponents
+    joined by " + " or " - ", the first led by "-"."""
+    if s == "0":
+        return ZERO
     first_sign, body = ("-", s[1:]) if s.startswith("-") else ("+", s)
     chunks = re.split(r" ([+-]) ", body)
     pairs: list[tuple[int, int]] = []
@@ -644,6 +663,9 @@ def from_text(s: str) -> LaurentPoly:
         if m is None:
             raise ValueError(f"unparseable polynomial term: {term!r}")
         const, coeff_s, exp_s = m.groups()
+        e = 0 if const else int(exp_s or 1)
+        if pairs and e >= pairs[-1][0]:
+            raise ValueError(f"polynomial term {term!r} does not fall below the one before it")
         coeff = int(const or coeff_s or 1)
-        pairs.append((0 if const else int(exp_s or 1), -coeff if sign == "-" else coeff))
+        pairs.append((e, -coeff if sign == "-" else coeff))
     return make_poly(pairs)

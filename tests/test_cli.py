@@ -434,6 +434,36 @@ def test_main_verify_usage_error_exit_2(capsys):
     capsys.readouterr()
 
 
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["verify", "--target", "babbage"], "--p", "-3..-1"),
+        (["verify", "--target", "babbage"], "--p", "-3,5"),
+        (["verify", "--target", "theorem-a", "--a", "2", "--b", "1"], "--n", "-1..2"),
+        (["verify", "--target", "theorem-a", "--n", "2", "--b", "1"], "--a", "-2..2"),
+        (["verify", "--target", "theorem-a", "--n", "2", "--a", "2"], "--b", "-1..1"),
+        (["verify", "--target", "lemma-2.1", "--n", "4"], "--k", "-1..2"),
+        (["verify", "--target", "lemma-2.1", "--n", "4"], "--k", "-x..2"),
+        (["verify", "--target", "babbage"], "--p", "-3"),
+    ],
+)
+def test_grid_values_starting_with_minus_parse_the_same_either_way(capsys, argv, flag, value):
+    # `--p -3..-1` and `--p=-3..-1` give the same stdout, stderr and exit code
+    apart = _outcome(capsys, [*argv, flag, value, "--format", "json"])
+    joined = _outcome(capsys, [*argv, f"{flag}={value}", "--format", "json"])
+    assert apart == joined
+    assert "expected one argument" not in apart[2]
+
+
 def test_main_argparse_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify"])  # --target is required

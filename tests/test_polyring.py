@@ -14,6 +14,7 @@ from oracles import (
     unpack_by_shifts,
     unpack_digits,
 )
+import qtrinom.polyring as polyring
 from qtrinom.polyring import (
     _SCHOOLBOOK_LIMIT,
     ONE,
@@ -23,6 +24,7 @@ from qtrinom.polyring import (
     NonExactDivision,
     NotMonic,
     _digit_bits,
+    _digit_width,
     _half_digits,
     _from_taylor,
     _mul_kronecker,
@@ -182,10 +184,17 @@ def test_from_text_examples():
     assert from_text("q^2 - q + 1") == make_poly([(2, 1), (1, -1), (0, 1)])
     assert from_text("-q") == monomial(1, -1)
     assert from_text("5 - 3*q^-2") == make_poly([(0, 5), (-2, -3)])
-    assert from_text("q^-2 + 2*q - 1 - q") == make_poly([(-2, 1), (1, 1), (0, -1)])
-    # only what to_text writes: a term is an integer or [N*]q[^E]
-    for text in ("bogus + q", "3*", "2q", "1 + 3*", "q^", "", " q", "q -", "--q"):
+    assert from_text("-12*q^10 + q^2 - 1 + 10*q^-1") == make_poly([(10, -12), (2, 1), (0, -1), (-1, 10)])
+    # only what to_text writes: a term is a nonzero integer or [N*]q[^E]
+    # with N >= 2 and E not 0 or 1, no number has a leading zero, and 0 is
+    # only the lone "0"
+    for text in ("bogus + q", "3*", "2q", "1 + 3*", "q^", "", " q", "q -", "--q",
+                 "1*q", "q^1", "q^0", "0 + q", "-0", "q^-0", "02*q", "q^01"):
         with pytest.raises(ValueError, match="unparseable polynomial term"):
+            from_text(text)
+    # exponents strictly fall
+    for text in ("q + q", "q^-2 + 2*q - 1 - q", "1 + q", "q - 2*q^2"):
+        with pytest.raises(ValueError, match="does not fall below the one before it"):
             from_text(text)
 
 
@@ -314,8 +323,8 @@ def test_text_round_trip(x):
     st.lists(coeff_st, min_size=1, max_size=40),
     st.lists(coeff_st, min_size=1, max_size=40),
 )
-# a factor of 1 to 8 terms, which LaurentPoly.__mul__ takes by schoolbook,
-# against a long one
+# short factors against long ones, which LaurentPoly.__mul__ takes by its
+# scalar path and, with 6 rows and a digit wider than a word, by schoolbook
 @example([-7], [(-1) ** i * (i * 7919 % 1000003) for i in range(1, 300)])
 @example([3, 0, -1, 2**61, 0, 5, -9, 1], [(-1) ** (i // 3) * i**5 for i in range(1, 700)])
 def test_mul_kernels_agree(a, b):
@@ -439,6 +448,54 @@ def product_operands(draw):
 def test_product_results_are_canonical(operands):
     x, y = operands
     _check_canonical(x * y, LaurentPoly(x.offset + y.offset, _mul_schoolbook(x.coeffs, y.coeffs)))
+
+
+def _kernel_calls(monkeypatch, x, y):
+    """x * y, checked against _mul_schoolbook, and the kernels it ran."""
+    calls = []
+    for name in ("_mul_kronecker", "_mul_schoolbook"):
+        kernel = getattr(polyring, name)
+        monkeypatch.setattr(polyring, name, lambda a, b, name=name, kernel=kernel: calls.append(name) or kernel(a, b))
+    product = x * y
+    monkeypatch.undo()
+    _check_canonical(product, LaurentPoly(x.offset + y.offset, _mul_schoolbook(x.coeffs, y.coeffs)))
+    return calls
+
+
+def _wide(bits, count):
+    # count coefficients of exactly this bit length, alternating in sign
+    return [(-1) ** i * ((1 << bits) - 1 - i % 4) for i in range(count)]
+
+
+# a long factor of 8-bit coefficients, dense, so its stride is 1
+_NARROW = LaurentPoly(-3, _wide(8, 1000))
+
+
+@pytest.mark.parametrize("rows, kernel", [(2, "_mul_schoolbook"), (3, "_mul_schoolbook"), (4, "_mul_kronecker")])
+def test_kernel_choice_counts_nonzero_rows(monkeypatch, rows, kernel):
+    # rows nonzero terms spread over 500 exponents: schoolbook up to 3 rows
+    # at any span, and at 4 narrow rows the digit fits a word, so Kronecker
+    coeffs = [0] * 500
+    for i in range(rows):
+        coeffs[i * 499 // (rows - 1)] = 5 - 2 * i
+    sparse = LaurentPoly(7, coeffs)
+    assert _digit_width(3, 8, 500) <= 8
+    assert _kernel_calls(monkeypatch, sparse, _NARROW) == [kernel]
+    assert _kernel_calls(monkeypatch, _NARROW, sparse) == [kernel]
+
+
+@pytest.mark.parametrize(
+    "rows, bits, kernel",
+    [(8, 50, "_mul_kronecker"), (8, 51, "_mul_schoolbook"), (9, 50, "_mul_kronecker"), (9, 51, "_mul_kronecker")],
+)
+def test_kernel_choice_at_the_word_width(monkeypatch, rows, bits, kernel):
+    # dense rows of `bits`-bit coefficients against 8-bit ones: at 50 bits
+    # the Kronecker digit is 8 bytes, one machine word, at 51 bits it is 9;
+    # up to 8 rows a digit wider than a word takes schoolbook
+    assert _digit_width(bits, 8, rows) == (8 if bits == 50 else 9)
+    dense = LaurentPoly(0, _wide(bits, rows))
+    assert _kernel_calls(monkeypatch, dense, _NARROW) == [kernel]
+    assert _kernel_calls(monkeypatch, _NARROW, dense) == [kernel]
 
 
 @st.composite
