@@ -116,18 +116,13 @@ def congruent(lhs: LaurentPoly, rhs: LaurentPoly, mod: Modulus) -> CongruenceOut
 def rhs_theorem(kind: TrinomialKind, a: int, b: int, n: int) -> LaurentPoly:
     """The congruence right-hand side of one family, built from its FAMILIES
     row as pre * [an bn]_(q^s) * brace, pre the anchor term's sign and weight
-    (trinomials.Family).  pre scales the short brace, so [an bn] takes one product."""
+    (trinomials.Family).  pre scales the short brace, so [an bn] takes one product.
+    tau0's prefactor exponent is read as the anchor weight
+    (an-bn)(an+bn+1)/2; a reading with ab-bn in place of an-bn differs
+    wherever b != n."""
     require_theorem_params(a, b, n)
     family = FAMILIES[kind]
     an, bn = a * n, b * n
-    if kind is TrinomialKind.tau0 and a * b != an:
-        # the two candidate prefactor exponents (ab-bn vs an-bn) disagree
-        # here; the verified reading is (an-bn)(an+bn+1)/2
-        import logging
-
-        logging.getLogger(__name__).info(
-            "tau0 prefactor exponents differ at a=%d b=%d n=%d; using (an-bn)", a, b, n
-        )
     sign, weight, _, _ = family.term(an, bn, family.anchor(an, bn))
     pre = monomial(weight, sign)
     brace = ONE - sum((ONE - c(n) for c in family.corrections), ZERO) * (family.base * (a - b))

@@ -12,8 +12,7 @@ coefficients are products of nonzero ends) skip it through _rebuild.
 Coefficients are plain Python ints; all arithmetic is exact at any
 magnitude.  A product whose shorter factor has at most _SCHOOLBOOK_ROWS
 nonzero coefficients, or at most _WIDE_ROWS with a Kronecker digit wider
-than a machine word, or whose lengths multiply to at most
-_SCHOOLBOOK_LIMIT, is taken by schoolbook, which skips zero terms; others
+than a machine word, is taken by schoolbook, which skips zero terms; others
 by Kronecker substitution (packing the coefficient vector into one big
 integer), which hands the real work to CPython's big-int multiplication.
 When the longer factor is an image d(q^s), s >= 2, such as a binomial in
@@ -165,11 +164,7 @@ class LaurentPoly:
                 out[i : i + s * len(p.coeffs) : s] = p.coeffs
             return _rebuild(off, tuple(out))
         rows = len(a) - a.count(0)
-        if (
-            rows <= _SCHOOLBOOK_ROWS
-            or len(a) * len(b) <= _SCHOOLBOOK_LIMIT
-            or rows <= _WIDE_ROWS and _digit_width(_bits(a), _bits(b), len(a)) > 8
-        ):
+        if rows <= _SCHOOLBOOK_ROWS or rows <= _WIDE_ROWS and _digit_width(_bits(a), _bits(b), len(a)) > 8:
             return _rebuild(off, tuple(_mul_schoolbook(a, b)))
         return _rebuild(off, tuple(_mul_kronecker(a, b)))
 
@@ -241,9 +236,6 @@ def make_poly(pairs: Iterable[tuple[int, int]]) -> LaurentPoly:
 
 # ---- multiplication kernels ----
 
-# crossover found by benchmarking: below this schoolbook wins, above it the
-# packed big-int product does
-_SCHOOLBOOK_LIMIT = 256
 # a factor with this few nonzero rows takes schoolbook whatever its span or
 # width: schoolbook costs rows times the long factor, Kronecker packs the
 # whole span, and on dense narrow factors Kronecker wins from about 4 rows

@@ -589,15 +589,17 @@ def test_unwritable_output_exits_2_without_traceback(argv, where):
 
 def test_verify_imports_only_what_the_run_uses():
     # a cold `verify` pays for no module it does not use: no dataclasses (and
-    # the inspect, ast and dis it imports), logging only for the tau0 note,
-    # never csv (its lines need no quoting), multiprocessing only for
-    # --jobs > 1, and neither array nor struct for the Kronecker word decode,
-    # which the theorem-a rhs product at n=12 reaches.  -S keeps
-    # site-packages' .pth hooks out of what is measured
+    # the inspect, ast and dis it imports), never logging, not even for
+    # theorem-b at b != n, never csv (its lines need no quoting),
+    # multiprocessing only for --jobs > 1, and neither array nor struct for
+    # the Kronecker word decode, which the theorem-a rhs product at n=12
+    # reaches.  -S keeps site-packages' .pth hooks out of what is measured
     script = (
         "import runpy, sys\n"
         "fmt = sys.argv[1]\n"
-        "for args in (['--target', 'babbage', '--p', '3'], ['--target', 'theorem-a', '--n', '12', '--a', '3', '--b', '1']):\n"
+        "theorem = ['--n', '12', '--a', '3', '--b', '1']\n"
+        "for args in (['--target', 'babbage', '--p', '3'], ['--target', 'theorem-a', *theorem],\n"
+        "             ['--target', 'theorem-b', *theorem]):\n"
         "    sys.argv = ['qtrinom', 'verify', *args, '--format', fmt]\n"
         "    try:\n"
         "        runpy.run_module('qtrinom.cli', run_name='__main__', alter_sys=True)\n"
@@ -612,9 +614,11 @@ def test_verify_imports_only_what_the_run_uses():
         assert proc.returncode == 0, proc.stderr
         if fmt == "json":
             reports = [json.loads(line) for line in proc.stdout.splitlines()]
-            assert [(r["target"], r["holds"]) for r in reports] == [("babbage", True), ("theorem-a", True)]
+            assert [(r["target"], r["holds"]) for r in reports] == [
+                ("babbage", True), ("theorem-a", True), ("theorem-b", True)]
         else:
             rows = list(csv.reader(io.StringIO(proc.stdout)))
-            assert rows[0::2] == [CSV_COLUMNS, CSV_COLUMNS]
-            assert [row[:3] for row in rows[1::2]] == [["babbage", "p=3", "true"], ["theorem-a", "a=3;b=1;n=12", "true"]]
+            assert rows[0::2] == [CSV_COLUMNS] * 3
+            assert [row[:3] for row in rows[1::2]] == [
+                ["babbage", "p=3", "true"], ["theorem-a", "a=3;b=1;n=12", "true"], ["theorem-b", "a=3;b=1;n=12", "true"]]
         assert proc.stderr == "\n", fmt

@@ -1,6 +1,5 @@
 """Congruence checker, correction monomials, and all verification targets."""
 
-import logging
 import os
 import subprocess
 import sys
@@ -340,16 +339,6 @@ def test_rhs_theorem_matches_family_by_family_oracle(kind, ab, n):
     # the paper writes them
     a, b = ab
     assert rhs_theorem(kind, a, b, n) == rhs_theorem_by_kind(kind, a, b, n)
-
-
-def test_tau0_prefactor_discrepancy_is_logged(caplog):
-    with caplog.at_level(logging.INFO, logger="qtrinom.congruence"):
-        rhs_theorem(TrinomialKind.tau0, 2, 1, 2)
-    assert any("prefactor" in r.message for r in caplog.records)
-    caplog.clear()
-    with caplog.at_level(logging.INFO, logger="qtrinom.congruence"):
-        rhs_theorem(TrinomialKind.tau0, 2, 1, 1)  # b == n: exponents agree
-    assert not any("prefactor" in r.message for r in caplog.records)
 
 
 # ---- corollaries ----

@@ -1,5 +1,7 @@
 """Laurent polynomial arithmetic: examples, errors, and ring properties."""
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,6 @@ from oracles import (
 )
 import qtrinom.polyring as polyring
 from qtrinom.polyring import (
-    _SCHOOLBOOK_LIMIT,
     ONE,
     ZERO,
     LaurentPoly,
@@ -429,16 +430,23 @@ def test_shift_neg_and_scalar_results_are_canonical(x, d, c):
         _check_canonical(x * monomial(d, k), LaurentPoly(x.offset + d, [k * v for v in x.coeffs]))
 
 
+# coefficients of up to 20, 40 or 60 bits: with 20-bit coefficients on one
+# side, 40 or 60 on the other can make a Kronecker digit wider than a word
+wide_coeffs = st.sampled_from((20, 40, 60)).flatmap(lambda bits: st.integers(-(1 << bits), 1 << bits))
+
+
 @st.composite
 def product_operands(draw):
-    # two polynomials of at least two terms, their lengths on either side of
-    # the kernel choice: a product of lengths above the limit takes Kronecker
+    # two polynomials of at least two terms on either side of the kernel
+    # choice: the shorter has 2 to 10 nonzero rows, so it takes schoolbook
+    # at up to 3 rows, or up to 8 when the digit is wider than a word, and
+    # Kronecker otherwise
     short = draw(st.integers(2, 16))
-    limit = _SCHOOLBOOK_LIMIT // short
-    long = draw(st.integers(limit + 1, limit + 64) | st.integers(2, limit))
+    rows = {0, short - 1} | draw(st.sets(st.integers(0, short - 1), max_size=8))
     operands = []
-    for length in (short, long):
-        coeffs = draw(st.lists(coeff_st, min_size=length, max_size=length))
+    for length, keep in ((short, rows), (draw(st.integers(short, short + 64)), None)):
+        coeff = draw(st.sampled_from((coeff_st, wide_coeffs)))
+        coeffs = [draw(coeff) if keep is None or i in keep else 0 for i in range(length)]
         coeffs[0], coeffs[-1] = coeffs[0] or 1, coeffs[-1] or -1
         operands.append(LaurentPoly(draw(st.integers(-32, 32)), coeffs))
     return operands
@@ -501,18 +509,19 @@ def test_kernel_choice_at_the_word_width(monkeypatch, rows, bits, kernel):
 @st.composite
 def strided_operands(draw):
     # x and the q -> q^s image of y, shifted by d.  Each class of x mod s is
-    # multiplied by y on its own, so the class length, not len(x), sits on
-    # either side of the kernel choice; with a class length of 1, x may have
-    # fewer than s terms, and some classes of x may be zero throughout
+    # multiplied by y on its own, so the class's nonzero rows, 1 to 8, not
+    # those of x, sit on either side of the kernel choice, and wide
+    # coefficients of y straddle its word rule; with a class length of 1, x
+    # may have fewer than s terms, and some classes of x may be zero
+    # throughout
     s = draw(st.integers(2, 8))
     short = draw(st.integers(1, 8))
     length = draw(st.integers((short - 1) * s + 1, short * s))
-    limit = _SCHOOLBOOK_LIMIT // short
-    long = draw(st.integers(limit + 1, limit + 64) | st.integers(2, limit))
+    long = draw(st.integers(2, 64))
     zero_classes = draw(st.sets(st.integers(1, s - 1)))
     xs = draw(st.lists(coeff_st, min_size=length, max_size=length))
     xs = [0 if i % s in zero_classes else c for i, c in enumerate(xs)]
-    ys = draw(st.lists(coeff_st, min_size=long, max_size=long))
+    ys = draw(st.lists(draw(st.sampled_from((coeff_st, wide_coeffs))), min_size=long, max_size=long))
     xs[0], xs[-1], ys[0], ys[-1] = xs[0] or 1, xs[-1] or -1, ys[0] or 1, ys[-1] or -1
     x = LaurentPoly(draw(st.integers(-32, 32)), xs)
     y = LaurentPoly(draw(st.integers(-32, 32)), ys)
@@ -555,12 +564,14 @@ def test_dot_is_the_sum_of_products(terms):
 
 
 @pytest.mark.parametrize("bits", [3, 7, 11, 63, 123])
-def test_dot_at_the_digit_bound(bits):
-    # Taylor vectors of alternating sign make every polynomial-form
-    # coefficient as large as k such vectors allow, and equal extreme
-    # products add up in every place.  k * n is 255 or just below, and the
-    # digits have bits - k bits, so 2^k max|S| has exactly bits bits and the
-    # width has no slack from rounding up to whole bytes when count is 1
+def test_taylor_dot_oracle_at_the_digit_bound(bits):
+    # this checks the oracle oracles._taylor_dot; polyring._packed_dot has
+    # test_packed_dot_at_the_digit_bound.  Taylor vectors of alternating
+    # sign make every polynomial-form coefficient as large as k such vectors
+    # allow, and equal extreme products add up in every place.  k * n is
+    # 255 or just below, and the digits have bits - k bits, so 2^k max|S|
+    # has exactly bits bits and the width has no slack from rounding up to
+    # whole bytes when count is 1
     for k in range(1, min(bits, 4)):
         top = (1 << (bits - k)) - 1
         x = [[(-1) ** i * top] * (255 // k) for i in range(k)]
@@ -659,6 +670,29 @@ def test_packed_dot_matches_the_list_form(case):
         xbits = max(xbits, _digit_bits(x.degree + j, eval_at_one(x), n, k))
         ybits = max(ybits, _digit_bits(y.degree, eval_at_one(y), n, k))
     assert _packed_dot(packed, xbits, ybits, n) == _taylor_dot(xs, ys, signs)
+
+
+@pytest.mark.parametrize("n", [1, 5, 17, 33])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_packed_dot_at_the_digit_bound(n, k):
+    # packed factors whose digits all sit at 2^bits - 1 on every power of e,
+    # the even ones or the odd ones, so that the forms' coefficients
+    # sum_i +-C(i, s) S_i, and count equal products of them, come as near
+    # the dot's width as nonnegative digits and k * n * count products
+    # allow; bits = 1..16 meets every rounding of that width to whole
+    # bytes.  x also comes shifted by j = n - 1, where every class but one
+    # wraps, and xbits holds the digits of q^j x, as the dot requires
+    for bits, on, count, j in itertools.product(range(1, 17), ((0, 1), (0,), (1,)), (1, 8), (0, n - 1)):
+        top = (1 << bits) - 1
+        x = [[top if i % 2 in on else 0] * n for i in range(k)]
+        if not any(map(any, x)):
+            continue
+        moved = _taylor_shift(x, j)
+        xbits = max(d.bit_length() for s in moved for d in s)
+        w = (bits + 7) // 8
+        packed = (w, _packed(x, w))
+        expected = _taylor_dot([moved] * count, [x] * count, [1] * count)
+        assert _packed_dot([(1, j, packed, packed)] * count, xbits, bits, n) == expected
 
 
 @given(st.lists(st.lists(st.integers(0, 255), min_size=1, max_size=9), min_size=1, max_size=4), st.integers(1, 6))
