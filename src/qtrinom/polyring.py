@@ -26,7 +26,8 @@ The quotient ring Z[q]/((q^n - 1)^k) has its own form: per residue class mod
 n, the Taylor coefficients at y = q^n = 1 (_taylor, one slice per class and
 one C-level sum per Taylor digit), and _from_taylor gives back the Euclidean
 remainder modulo (q^n - 1)^k, so fold, the remainder by that modulus, is the
-one constructor followed by the basis change.  Where every Taylor digit is
+one constructor followed by the basis change.  _ring_step adds a signed
+multiple of q^j times an element in that form.  Where every Taylor digit is
 nonnegative, as in a q-Pascal row, each vector is packed into one int at a
 proven byte width: the step x + q^j z (_packed_step), which with x = 0 is
 the shift, and q -> q^2 (_packed_q2) are then a few integer operations and
@@ -242,7 +243,7 @@ def make_poly(pairs: Iterable[tuple[int, int]]) -> LaurentPoly:
 _SCHOOLBOOK_ROWS = 3
 # up to this many rows schoolbook also wins once a Kronecker digit is wider
 # than the 8-byte word _unpack reads in C, as in a long quotient of wide
-# coefficients times a short modulus, or a binomial times a sparse brace
+# coefficients times a short modulus
 _WIDE_ROWS = 8
 
 
@@ -486,6 +487,25 @@ def _from_taylor(taylor: Sequence[Sequence[int]]) -> LaurentPoly:
             block = list(map(add, block, map(((-1) ** (i - s) * comb(i, s)).__mul__, taylor[i])))
         out.extend(block)
     return LaurentPoly(0, out)
+
+
+def _ring_step(x: Sequence[Sequence[int]], z: Sequence[Sequence[int]], j: int, c: int) -> list[list[int]]:
+    """x + c q^j z, j >= 0, for elements in list form, digits of either sign:
+    the signed counterpart of _packed_step.  With j = u*n + r, S_i of z
+    gains sum_(l<i) C(u, i-l) S_l, the classes move on by r, and the r
+    classes that wrap past q^n gain the wrapped part of S_(i-1)."""
+    n = len(z[0])
+    u, r = divmod(j, n)
+    cut = n - r
+    out, wrapped = [], []
+    for i, s in enumerate(z):
+        for l in range(i if u else 0):
+            s = list(map(add, s, map(comb(u, i - l).__mul__, z[l])))
+        s = s[cut:] + s[:cut]
+        moved = [*map(add, s[:r], wrapped), *s[r:]] if wrapped else s
+        wrapped = s[:r]
+        out.append(list(map(add, x[i], map(c.__mul__, moved))))
+    return out
 
 
 # ---- packed elements: one nonnegative integer per Taylor vector ----

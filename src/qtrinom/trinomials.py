@@ -25,7 +25,9 @@ and drop the rest; the full stream also keeps the q -> q^2 image of each
 first factor, made once.  Weights are applied in the ring, so each summand
 is one product of two ring elements, and polyring._packed_dot takes the
 whole signed sum from the packed vectors, with no polynomial per summand;
-the sum is reduced once, by polyring.fold.
+the sum is reduced once, by polyring.fold.  The theorem's other side is
+built in the same ring by congruence.rhs_theorem, from the Taylor vectors
+of its one binomial [an bn]_(q^s), which does not come from these streams.
 """
 from __future__ import annotations
 

@@ -19,7 +19,7 @@ from oracles import classical_trinomial_alt, classical_trinomial_expand, rhs_the
 from qtrinom.cli import report_from_json
 from qtrinom.congruence import TARGET_BY_KIND, congruent, rhs_theorem, verify
 from qtrinom.cyclotomic import cyclotomic, cyclotomic_power
-from qtrinom.polyring import ONE, eval_at_one, exact_div, make_poly, monomial
+from qtrinom.polyring import ONE, eval_at_one, exact_div, fold, make_poly, monomial
 from qtrinom.qcombinatorics import q_binomial
 from qtrinom.trinomials import (
     TrinomialKind,
@@ -50,10 +50,11 @@ def test_criterion_1_theorem_suite():
 def test_criterion_2_spot_value():
     report = verify("theorem-a", a=2, b=1, n=2)
     assert report.holds
-    diff = truncated_q_trinomial(TrinomialKind.round, 2, 1, 2) - rhs_theorem(
-        TrinomialKind.round, 2, 1, 2
-    )
+    rhs = rhs_theorem_by_kind(TrinomialKind.round, 2, 1, 2)
+    diff = truncated_q_trinomial(TrinomialKind.round, 2, 1, 2) - rhs
     assert diff == (ONE + monomial(1)) ** 2 * make_poly([(0, 1), (2, 2), (4, 1)])
+    # the verdict's own rhs is that rhs in Z[q]/((q^2 - 1)^2), with no shift
+    assert rhs_theorem(TrinomialKind.round, 2, 1, 2, 2) == (0, fold(rhs, 2, 2))
     print("PASS criterion 2: spot value (round,2,1,2), difference = (1+q)^2 (1+2q^2+q^4)")
 
 

@@ -4,8 +4,8 @@ qtrinom: both sides evaluated at q = z + e over F_p (tests/oracles.py)."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dual_prime, eval_dual, primitive_roots, rhs_theorem_by_kind, theorem_sides_at
-from qtrinom.congruence import TARGET_BY_KIND, congruent, rhs_theorem, verify
+from oracles import dual_prime, eval_dual, exact_sides, primitive_roots, rhs_theorem_by_kind, theorem_sides_at
+from qtrinom.congruence import TARGET_BY_KIND, congruent, verify
 from qtrinom.cyclotomic import cyclotomic_power
 from qtrinom.trinomials import TrinomialKind, truncated_q_trinomial
 
@@ -26,11 +26,11 @@ def test_exact_holds_gives_zero_at_q_eq_z_plus_e(kind, ab, n, pick):
     assert verify(TARGET_BY_KIND[kind], a=a, b=b, n=n).holds
     lhs, rhs = theorem_sides_at(kind, a, b, n, p, z)
     assert lhs == rhs, (kind, a, b, n, z)
-    # the exact path's own sides take the same values there; its lhs is
+    # the exact path's own sides take the same values there; both are
     # reduced modulo (q^n - 1)^2, which vanishes to second order at q = z
-    reduced = truncated_q_trinomial(kind, a, b, n, power=2)
-    assert eval_dual(reduced, z, p) == lhs, (kind, a, b, n, z)
-    assert eval_dual(rhs_theorem(kind, a, b, n), z, p) == rhs, (kind, a, b, n, z)
+    reduced_lhs, reduced_rhs = exact_sides(kind, a, b, n)
+    assert eval_dual(reduced_lhs, z, p) == lhs, (kind, a, b, n, z)
+    assert eval_dual(reduced_rhs, z, p) == rhs, (kind, a, b, n, z)
 
 
 def test_brace_free_rhs_gives_nonzero_at_q_eq_z_plus_e():

@@ -35,6 +35,7 @@ from qtrinom.polyring import (
     _packed_q2,
     _packed_step,
     _repack,
+    _ring_step,
     _stride,
     _taylor,
     _unpack,
@@ -594,6 +595,16 @@ def test_quotient_ring_operations_match_rem_monic(x, y, n, k, j):
     assert _from_taylor(_taylor_shift(tx, j)) == rem_monic(shift(x, j), m)
     assert _taylor_step(tx, ty, j) == _taylor_add(tx, _taylor_shift(ty, j))
     assert _from_taylor(_taylor_q2(tx)) == rem_monic(substitute_power(x, 2), m)
+
+
+@given(ordinary_polys, ordinary_polys, st.integers(1, 9), st.integers(1, 4), st.integers(0, 100), st.integers(-9, 9))
+def test_ring_step_matches_the_list_form(x, z, n, k, j, c):
+    # x + c q^j z with digits of either sign: the oracle's step on c z, and
+    # the fold of the polynomial forms
+    tx, tz = _taylor(x, n, k), _taylor(z, n, k)
+    assert _ring_step(tx, tz, j, c) == _taylor_step(tx, [[c * d for d in s] for s in tz], j)
+    assert _from_taylor(_ring_step(tx, tz, j, c)) == fold(x + shift(z, j) * c, n, k)
+    assert _ring_step([[0] * n] * k, tz, j, 1) == _taylor_shift(tz, j)
 
 
 # ---- packed elements against the list form ----
