@@ -5,7 +5,7 @@ differences are first cleared by the minimal power q^M, which is sound
 because the constant term of Phi_n is +-1, so q is a unit in the quotient
 ring; M is recorded in every report.  The theorems build both sides in
 Z[q]/((q^n - 1)^k), a multiple of Phi_n^k (truncated_q_trinomial,
-rhs_theorem), and _ring_congruent reduces them.  Each term
+rhs_theorem), so congruent's fold leaves them as they are.  Each term
 [n-k k] (1-q^n)/(1-q^(n-k)) of the summation lemmas is the polynomial
 [n-k k] + q^(n-k) [n-k-1 k-1], two memo reads added into one list with no
 product or division, so the lemmas are checked on their own sums.
@@ -118,14 +118,14 @@ def congruent(lhs: LaurentPoly, rhs: LaurentPoly, mod: Modulus) -> CongruenceOut
     return CongruenceOutcome(cleared.is_zero(), cleared, cleared_shift)
 
 
-def rhs_theorem(kind: TrinomialKind, a: int, b: int, n: int, power: int) -> tuple[int, LaurentPoly]:
-    """The congruence right-hand side of one family in Z[q]/((q^n - 1)^power)
-    as (c, R).  The rhs is pre * [an bn]_(q^s) * brace from its FAMILIES
-    row, pre the anchor term's sign and weight (trinomials.Family).  With
-    c = max(0, -min_exponent(pre * brace)), q^c * rhs is ordinary, as
-    [an bn] has constant term 1, and R is its Euclidean remainder.  Each of
-    the few terms coef * q^e of q^c * pre * brace adds coef * q^e times the
-    Taylor vectors of [an bn] (polyring._ring_step); the rhs is never expanded.
+def rhs_theorem(kind: TrinomialKind, a: int, b: int, n: int, power: int) -> LaurentPoly:
+    """The congruence right-hand side of one family in Z[q]/((q^n - 1)^power):
+    the Euclidean remainder of pre * [an bn]_(q^s) * brace from its FAMILIES
+    row, pre the anchor term's sign and weight (trinomials.Family).  pre
+    lifts pre * brace clear of q^0 even where a correction is Laurent, and
+    [an bn] has constant term 1, so the rhs is ordinary.  Each of the few
+    terms coef * q^e of pre * brace adds coef * q^e times the Taylor vectors
+    of [an bn] (polyring._ring_step); the rhs is never expanded.
 
     tau0's prefactor exponent is read as the anchor weight
     (an-bn)(an+bn+1)/2; a reading with ab-bn in place of an-bn differs
@@ -136,24 +136,14 @@ def rhs_theorem(kind: TrinomialKind, a: int, b: int, n: int, power: int) -> tupl
     sign, weight, _, _ = family.term(an, bn, family.anchor(an, bn))
     brace = ONE - sum((ONE - c(n) for c in family.corrections), ZERO) * (family.base * (a - b))
     factor = monomial(weight, sign) * brace
-    c = max(0, -factor.min_exponent)
+    if factor.offset < 0:
+        raise ArithmeticError(f"pre * brace has negative exponents at a={a} b={b} n={n}")
     binomial_taylor = _taylor(q_binomial_base(an, bn, family.base), n, power)
     total = [[0] * n] * power
-    for e, coef in enumerate(factor.coeffs, factor.offset + c):
+    for e, coef in enumerate(factor.coeffs, factor.offset):
         if coef:
             total = _ring_step(total, binomial_taylor, e, coef)
-    return c, _from_taylor(total)
-
-
-def _ring_congruent(lhs: LaurentPoly, rhs: tuple[int, LaurentPoly], mod: Modulus) -> CongruenceOutcome:
-    """congruent(lhs, rhs', mod) for an ordinary lhs and a theorem rhs' given
-    as rhs_theorem's rhs = (c, R) at power mod.k.  When c > 0 the lowest
-    term of rhs' sits at q^-c, where the lhs has none, so c is the shift
-    congruent clears; and (q^n - 1)^k is a multiple of Phi_n^k, so by
-    unique remainders the residual is that of q^c lhs - R."""
-    c, ring_rhs = rhs
-    residual = rem_monic(fold(shift(lhs, c), mod.n, mod.k) - ring_rhs, mod.poly)
-    return CongruenceOutcome(residual.is_zero(), residual, c)
+    return _from_taylor(total)
 
 
 def _lemma_sum(n: int, weight_exp) -> LaurentPoly:
@@ -228,9 +218,7 @@ class TargetSpec(NamedTuple):
     params are its grid parameters in expansion order; check raises
     InvalidParameters (NotPrime is one) when a hypothesis fails; sides returns
     (lhs, rhs).  They are compared modulo Phi_base(q)^power (PHI) or
-    base^power (INT), where base names a parameter, or exactly (EXACT).  A
-    theorem's rhs is the pair (c, R) of rhs_theorem, which _ring_congruent
-    reduces; every other PHI rhs is a polynomial, which congruent reduces.
+    base^power (INT), where base names a parameter, or exactly (EXACT).
     """
 
     name: str
@@ -252,6 +240,10 @@ TARGET_BY_KIND = {
 }
 
 TARGETS: dict[str, TargetSpec] = {spec.name: spec for spec in (
+    # both theorem sides are built in Z[q]/((q^n - 1)^power), and
+    # (q^n - 1)^power is a multiple of Phi_n^power; congruent's remainder
+    # modulo Phi_n^power is unique, so the residual is unchanged, and both
+    # sides are ordinary either way, so cleared_shift is 0
     *(TargetSpec(name, ("a", "b", "n"), require_theorem_params,
                  lambda a, b, n, kind=kind: (truncated_q_trinomial(kind, a, b, n, power=THEOREM_POWER),
                                              rhs_theorem(kind, a, b, n, THEOREM_POWER)), PHI, "n", THEOREM_POWER)
@@ -296,8 +288,7 @@ def _run(spec: TargetSpec, params: dict[str, int]) -> CongruenceReport:
     lhs, rhs = spec.sides(**params)
     modulus = None if spec.modulus == EXACT else (params[spec.base], spec.power)
     if spec.modulus == PHI:
-        mod = cyclotomic_power(*modulus)
-        outcome = _ring_congruent(lhs, rhs, mod) if isinstance(rhs, tuple) else congruent(lhs, rhs, mod)
+        outcome = congruent(lhs, rhs, cyclotomic_power(*modulus))
     else:
         residual = lhs - rhs if modulus is None else LaurentPoly(0, ((lhs - rhs) % modulus[0] ** spec.power,))
         outcome = CongruenceOutcome(residual.is_zero(), residual, 0)

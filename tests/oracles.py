@@ -2,8 +2,8 @@
 trinomial coefficient (trinomials.classical_trinomial), two for the
 Gaussian binomial (qcombinatorics.q_binomial), one for the side of the
 summation lemmas (congruence._lemma_sum) and one for the theorem
-right-hand sides (congruence.rhs_theorem, which gives them in ring form,
-as ring_rhs does); plus the truncated q-trinomial
+right-hand sides (congruence.rhs_theorem, which gives their remainders
+modulo (q^n - 1)^k); plus the truncated q-trinomial
 sum over a widened window (trinomials.truncated_q_trinomial), and the
 lemma sides times the product of their denominators, which must give the
 same verdicts as the sides themselves.  More check the kernels: a
@@ -137,13 +137,6 @@ def rhs_theorem_by_kind(kind: TrinomialKind, a: int, b: int, n: int, correction:
     if correction:
         brace = ONE - sum((ONE - make_poly(c(n)) for c in corrections), ZERO) * (base * (a - b))
     return monomial(pre(an, bn, d), sign) * q_binomial_base(an, bn, base) * brace
-
-
-def ring_rhs(rhs: LaurentPoly, n: int, power: int) -> tuple[int, LaurentPoly]:
-    """A polynomial rhs in the form congruence.rhs_theorem gives one:
-    (c, fold(q^c rhs, n, power)), c the least shift that makes it ordinary."""
-    c = max(0, -rhs.min_exponent)
-    return c, fold(shift(rhs, c), n, power)
 
 
 def unpack_by_shifts(n: int, w: int, count: int) -> list[int]:
@@ -498,11 +491,9 @@ def eval_dual(poly: LaurentPoly, z: int, p: int):
 
 def exact_sides(kind: TrinomialKind, a: int, b: int, n: int) -> tuple[LaurentPoly, LaurentPoly]:
     """The exact path's two sides of one theorem, both in the ring of power
-    2: the lhs, and the rhs as rhs_theorem gives it, R = q^c rhs reduced,
-    shifted back by q^-c.  (q^n - 1)^2 vanishes to second order at every
-    q = z + e and q is a unit there, so neither side's value changes."""
-    c, reduced = rhs_theorem(kind, a, b, n, 2)
-    return truncated_q_trinomial(kind, a, b, n, power=2), shift(reduced, -c)
+    2, as the theorem targets build them.  (q^n - 1)^2 vanishes to second
+    order at every q = z + e, so neither side's value there changes."""
+    return truncated_q_trinomial(kind, a, b, n, power=2), rhs_theorem(kind, a, b, n, 2)
 
 
 def _ladder(ns: list[int], a: int = 4, b: int = 1) -> int:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import congruent_by_difference, lemma_sides_cleared, lemma_sum, rhs_theorem_by_kind, ring_rhs
+from oracles import congruent_by_difference, lemma_sides_cleared, lemma_sum, rhs_theorem_by_kind
 
 import qtrinom.congruence as congruence_module
 import qtrinom.qcombinatorics as qcombinatorics
@@ -194,14 +194,14 @@ def test_congruent_drops_a_shared_prefix(case):
 
 
 def test_rhs_theorem_examples():
-    # (c, R) with R of degree < power * n: the whole rhs when it is that
-    # short, and else its remainder, here with q^4 = 2q^2 - 1 and q^5 = 2q^3 - q
+    # the remainder modulo (q^n - 1)^power: the whole rhs when its degree is
+    # below power * n, and else reduced, here with q^4 = 2q^2 - 1 and q^5 = 2q^3 - q
     rhs = make_poly([(1, -1), (2, -1), (3, -2), (4, -1), (5, -1)])
     assert rhs_theorem_by_kind(TrinomialKind.round, 2, 1, 2) == rhs
-    assert rhs_theorem(TrinomialKind.round, 2, 1, 2, 3) == (0, rhs)
-    assert rhs_theorem(TrinomialKind.round, 2, 1, 2, 2) == (0, make_poly([(3, -4), (2, -3), (0, 1)]))
-    assert rhs_theorem(TrinomialKind.tau0, 2, 1, 1, 4) == (0, make_poly([(2, -1), (3, -1)]))
-    assert rhs_theorem(TrinomialKind.T0, 2, 1, 1, 3) == (0, make_poly([(0, -1), (2, -1)]))
+    assert rhs_theorem(TrinomialKind.round, 2, 1, 2, 3) == rhs
+    assert rhs_theorem(TrinomialKind.round, 2, 1, 2, 2) == make_poly([(3, -4), (2, -3), (0, 1)])
+    assert rhs_theorem(TrinomialKind.tau0, 2, 1, 1, 4) == make_poly([(2, -1), (3, -1)])
+    assert rhs_theorem(TrinomialKind.T0, 2, 1, 1, 3) == make_poly([(0, -1), (2, -1)])
     with pytest.raises(InvalidParameters):
         rhs_theorem(TrinomialKind.round, 1, 1, 2, 2)
 
@@ -223,7 +223,7 @@ def test_verify_theorem_exact_at_single_term():
     # ring keeps the whole rhs, whose degree 3 is below kn = 4
     lhs = truncated_q_trinomial(TrinomialKind.tau0, 2, 1, 1)
     assert lhs == rhs_theorem_by_kind(TrinomialKind.tau0, 2, 1, 1)
-    assert rhs_theorem(TrinomialKind.tau0, 2, 1, 1, 4) == (0, lhs)
+    assert rhs_theorem(TrinomialKind.tau0, 2, 1, 1, 4) == lhs
     assert verify("theorem-b", a=2, b=1, n=1).holds
 
 
@@ -264,7 +264,7 @@ def test_negative_control_through_run_task(monkeypatch):
     # with the residual the fully expanded path gives
     monkeypatch.setattr(
         congruence_module, "rhs_theorem",
-        lambda kind, a, b, n, power: ring_rhs(rhs_theorem_by_kind(kind, a, b, n, correction=False), n, power),
+        lambda kind, a, b, n, power: fold(rhs_theorem_by_kind(kind, a, b, n, correction=False), n, power),
     )
     failed = set()
     for kind, a, b, n in _small_theorem_grid(4):
@@ -281,13 +281,13 @@ def test_theorem_valuation_is_two_except_at_one_point():
     # Phi_n^2, and all but one fail modulo Phi_n^3, so the paper's exponent is
     # best possible there and the checker is seen to reject on every case.
     # (q^n - 1)^4 is a multiple of Phi_n^k for k <= 4, so both sides reduced
-    # modulo it give the same verdicts as the full sides; q^c is a unit
+    # modulo it give the same verdicts as the full sides
     cases, cubic = 0, []
     for kind, a, b, n in _small_theorem_grid(12):
         if n == 1:
             continue
-        c, rhs = rhs_theorem(kind, a, b, n, 4)
-        lhs = shift(truncated_q_trinomial(kind, a, b, n, power=4), c)
+        lhs = truncated_q_trinomial(kind, a, b, n, power=4)
+        rhs = rhs_theorem(kind, a, b, n, 4)
         assert congruent(lhs, rhs, cyclotomic_power(n, 2)).holds, (kind, a, b, n)
         if congruent(lhs, rhs, cyclotomic_power(n, 3)).holds:
             cubic.append((kind, a, b, n))
@@ -351,46 +351,23 @@ def test_theorems_hold_at_b_zero():
 )
 def test_rhs_theorem_matches_family_by_family_oracle(kind, ab, n, power):
     # the one FAMILIES-driven formula, in the ring, against the six
-    # right-hand sides as the paper writes them, shifted and folded
+    # right-hand sides as the paper writes them, folded
     a, b = ab
-    assert rhs_theorem(kind, a, b, n, power) == ring_rhs(rhs_theorem_by_kind(kind, a, b, n), n, power)
+    assert rhs_theorem(kind, a, b, n, power) == fold(rhs_theorem_by_kind(kind, a, b, n), n, power)
 
 
 def test_rhs_theorem_is_the_folded_oracle_rhs_on_a_grid():
     # every kind at power 1, 2, 3.  Four kinds have Laurent corrections
     # (vartheta(2) = -q^-1, and t0 and t1 invert theirs), but the prefactor
-    # lifts pre * brace clear of q^0, so c is 0 on the grid
+    # lifts pre * brace clear of q^0, so every rhs is ordinary
     laurent = set()
     for kind, a, b, n in _small_theorem_grid(9):
         rhs = rhs_theorem_by_kind(kind, a, b, n)
         for power in (1, 2, 3):
-            assert rhs_theorem(kind, a, b, n, power) == ring_rhs(rhs, n, power) == (0, fold(rhs, n, power))
+            assert rhs_theorem(kind, a, b, n, power) == fold(rhs, n, power)
         if any(c(n).min_exponent < 0 for c in FAMILIES[kind].corrections):
             laurent.add(kind)
     assert laurent == {TrinomialKind.tau0, TrinomialKind.T1, TrinomialKind.t0, TrinomialKind.t1}
-
-
-@st.composite
-def ordinary_lhs_laurent_rhs(draw):
-    """(n, k, lhs, rhs): an ordinary lhs of degree up to 3kn and a rhs that
-    may start as low as q^-12, so that c takes every value from 0 to 12."""
-    n, k = draw(st.integers(1, 10)), draw(st.integers(1, 3))
-    coeffs = st.lists(st.integers(-9, 9), max_size=3 * k * n + 1)
-    lhs = LaurentPoly(draw(st.integers(0, 4)), draw(coeffs))
-    rhs = LaurentPoly(draw(st.integers(-12, 4)), draw(coeffs))
-    if draw(st.booleans()):
-        rhs = rhs + lhs
-    return n, k, lhs, rhs
-
-
-@given(ordinary_lhs_laurent_rhs())
-def test_ring_congruent_matches_the_full_difference(case):
-    # the theorem reduction: the ordinary lhs shifted by c and folded, less
-    # the rhs in ring form, then one division by Phi_n^k
-    n, k, lhs, rhs = case
-    mod = cyclotomic_power(n, k)
-    outcome = congruence_module._ring_congruent(lhs, ring_rhs(rhs, n, k), mod)
-    assert tuple(outcome) == congruent_by_difference(lhs, rhs, mod)
 
 
 def _perturbed(rhs, start):
@@ -399,18 +376,17 @@ def _perturbed(rhs, start):
 
 
 def test_theorem_outcome_matches_the_full_difference_on_failing_rhs(monkeypatch):
-    # run_task on brace-free and perturbed right-hand sides, all given in
-    # ring form, the last ones Laurent: holds, residual and cleared_shift
+    # run_task on brace-free and perturbed right-hand sides, each given as
+    # its remainder modulo (q^n - 1)^2: holds, residual and cleared_shift
     # are those of the full difference, and almost every point fails
-    outcomes, shifts = [], set()
+    outcomes = []
     for rhs_of in (
         lambda kind, a, b, n: rhs_theorem_by_kind(kind, a, b, n, correction=False),
         lambda kind, a, b, n: _perturbed(rhs_theorem_by_kind(kind, a, b, n), (a + b + n) % 7),
         lambda kind, a, b, n: _perturbed(rhs_theorem_by_kind(kind, a, b, n), 3 * n + 1),
-        lambda kind, a, b, n: _perturbed(rhs_theorem_by_kind(kind, a, b, n), -1 - n % 3),
     ):
         monkeypatch.setattr(
-            congruence_module, "rhs_theorem", lambda kind, a, b, n, power: ring_rhs(rhs_of(kind, a, b, n), n, power)
+            congruence_module, "rhs_theorem", lambda kind, a, b, n, power: fold(rhs_of(kind, a, b, n), n, power)
         )
         for kind, a, b, n in _small_theorem_grid(6):
             report = run_task(VerificationTask(TARGET_BY_KIND[kind], {"a": a, "b": b, "n": n}))
@@ -418,10 +394,8 @@ def test_theorem_outcome_matches_the_full_difference_on_failing_rhs(monkeypatch)
             expected = congruent_by_difference(lhs, rhs_of(kind, a, b, n), cyclotomic_power(n, 2))
             assert (report.holds, report.residual, report.cleared_shift) == expected, (kind, a, b, n)
             outcomes.append(report.holds)
-            shifts.add(report.cleared_shift)
-    assert len(outcomes) == 4 * 6 * 6 * 6
+    assert len(outcomes) == 3 * 6 * 6 * 6
     assert outcomes.count(True) < len(outcomes) // 10
-    assert shifts == {0, 1, 2, 3}
 
 
 # ---- corollaries ----
